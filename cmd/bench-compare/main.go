@@ -105,7 +105,7 @@ func main() {
 	tightBoundFactor := flag.Float64("tightbound-factor", 0, "required PR3-bound/tight-bound speedup of the weak-first sweep in the new report (0 disables); both come from the same run, so this check is machine-relative")
 	diskWarmFactor := flag.Float64("diskwarm-factor", 0, "max allowed disk-warm/in-process-warm slowdown of the session sweep in the new report (0 disables); both come from the same run, so this check is machine-relative")
 	hardenedFactor := flag.Float64("hardened-factor", 0, "max allowed hardened/tight-bound slowdown of the weak-first sweep in the new report (0 disables); both come from the same run, so this check is machine-relative")
-	racingFactor := flag.Float64("racing-factor", 0, "required uniform/racing SA-iteration ratio of the racing sweep in the new report (0 disables); both counts come from the same run and are deterministic")
+	racingFactor := flag.Float64("racing-factor", 0, "required uniform/racing SA-iteration ratio of the racing sweep in the new report (0 disables); ratio of twin counters from one run; absolute counts vary with GOMAXPROCS")
 	cutBoundFactor := flag.Float64("cutbound-factor", 0, "required cut/compulsory pruned-candidate ratio of the cut-bound sweep in the new report (0 disables); the cut bound must also prune strictly more in absolute count")
 	fleetFactor := flag.Float64("fleet-factor", 0, "required independent/fleet wall-clock ratio of the fleet sweep in the new report (0 disables): the 2-worker incumbent-sharing fleet must drain the grid this much faster than one no-sharing worker, and spend strictly fewer total SA iterations; both twins come from the same run, so this check is machine-relative")
 	only := flag.String("only", "", "regex restricting the per-benchmark regression checks (empty = all overlapping benchmarks); use for tight -max-regress gates that must skip benchmarks whose allocs depend on scheduling races")

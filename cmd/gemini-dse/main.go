@@ -25,6 +25,7 @@ import (
 
 	"gemini/internal/dnn"
 	"gemini/internal/dse"
+	"gemini/internal/persist"
 )
 
 func main() {
@@ -200,15 +201,9 @@ func main() {
 	fmt.Println()
 
 	if *resume != "" {
-		f, err := os.Create(*resume)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := ses.SaveCheckpoint(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		// Atomic: a crash or full disk mid-save keeps the previous
+		// checkpoint instead of truncating the only copy.
+		if err := persist.WriteFile(*resume, ses.SaveCheckpoint); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("checkpointed %d cells to %s\n\n", ses.CheckpointCells(), *resume)

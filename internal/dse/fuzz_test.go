@@ -1,10 +1,12 @@
 // Fuzz coverage for the sweep-spec decode path: every byte string a client
 // can POST must either be rejected cleanly or produce a spec whose resolved
 // options and graphs build without panicking. The seeded corpus under
-// testdata/fuzz/FuzzSpecUnmarshal pins regressions found by past runs.
+// testdata/fuzz/FuzzSpecUnmarshal pins regressions found by past runs. The
+// checkpoint decoder is fuzzed here too (FuzzLoadCheckpoint).
 package dse
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -106,4 +108,45 @@ func TestSpecGridCap(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "grid combinations") {
 		t.Fatalf("oversized grid passed Validate: %v", err)
 	}
+}
+
+// FuzzLoadCheckpoint drives arbitrary bytes through LoadCheckpoint, the
+// decoder of checkpoint files and fleet uploads. Whatever it accepts must
+// round-trip Save -> Load -> Save to stable bytes, so a resumed sweep
+// re-saves exactly what it restored. The seeded corpus under
+// testdata/fuzz/FuzzLoadCheckpoint pins the interesting shapes.
+func FuzzLoadCheckpoint(f *testing.F) {
+	for _, s := range []string{
+		`{"version":1,"cells":{}}`,
+		`{"version":1,"cells":{"k":{"model":"m","feasible":true,"energy":2,"delay":1.5,"restarts":8,"best_restart":3}}}`,
+		`{"version":1,"cells":{"k":{"model":"m","restarts":2},"k":{"model":"m","restarts":-1}}}`,
+		`{"version":2,"cells":{}}`,
+		`{"version":1,"cells":null}`,
+		`{"version":1,"cells":{"k":{"energy":-0,"sa_cost":1e308}}}`,
+		`{"version":1`,
+		`null`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewSession()
+		if err := s.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := s.SaveCheckpoint(&first); err != nil {
+			t.Fatalf("save after accepted load: %v", err)
+		}
+		again := NewSession()
+		if err := again.LoadCheckpoint(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("re-loading a saved checkpoint: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := again.SaveCheckpoint(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip not stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"gemini/internal/arch"
@@ -190,10 +191,10 @@ func TestRacingCheckpointReentry(t *testing.T) {
 	// The uniform resume must only anneal the missing restart windows: every
 	// injected call carries from > 0 (the full-width finalist cells restore
 	// without any call at all).
-	windows := 0
+	var windows atomic.Int64 // mapping workers run concurrently
 	orig := mapModelFn
 	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-		windows++
+		windows.Add(1)
 		if from <= 0 || to != opt.Restarts {
 			t.Errorf("resumed sweep ran window [%d, %d); want partial re-entry to the full width %d", from, to, opt.Restarts)
 		}
@@ -207,12 +208,12 @@ func TestRacingCheckpointReentry(t *testing.T) {
 	}
 	got := b.Run(cands, models, opt)
 	resultsEqual(t, cold, got, "uniform resume over racing checkpoint")
-	if windows == 0 {
+	if windows.Load() == 0 {
 		t.Error("no partial cell was widened; the race eliminated nobody")
 	}
-	if windows >= len(cands)*len(models) {
+	if n := windows.Load(); n >= int64(len(cands)*len(models)) {
 		t.Errorf("%d windows for %d cells; finalist cells should have restored without re-annealing",
-			windows, len(cands)*len(models))
+			n, len(cands)*len(models))
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"gemini/internal/dnn"
 	"gemini/internal/eval"
 	"gemini/internal/faultinject"
+	"gemini/internal/persist"
 	"gemini/internal/sa"
 )
 
@@ -64,7 +65,7 @@ type Session struct {
 	// persist tracks disk-cache spill health across the session's sweeps:
 	// failed saves degrade persistence (the sweep keeps running in memory),
 	// they never fail a sweep.
-	persist PersistenceTracker
+	persist persist.Tracker
 }
 
 // NewSession returns an empty session with a fresh shared cache.
@@ -108,59 +109,34 @@ func (s *Session) WarmDiskCache(dir string) (int, error) {
 	return n, nil
 }
 
-// startCacheSaver spawns the coalesced background spill loop for one sweep:
-// poke requests a save (non-blocking, collapsing bursts into one write, the
-// same pattern the sweep service uses for checkpoints), stop drains the
-// loop and writes the final snapshot. Each save first merges the file's
-// current entries back into the cache and then snapshots it, so writers
-// with *different* caches sharing one directory (a multi-session server
-// pool, or two processes) converge on the union instead of last-writer-
-// wins discarding each other's work; SaveDisk renames atomically, so any
-// complete snapshot is valid. Saves run under the session's persistence
+// saveCache is one disk-cache spill: it first merges the file's current
+// entries back into the cache and then snapshots it, so writers with
+// *different* caches sharing one directory (a multi-session server pool,
+// or two processes) converge on the union instead of last-writer-wins
+// discarding each other's work; SaveDisk writes atomically, so any complete
+// snapshot is valid. The save runs under the session's persistence
 // tracker: bounded in-save retry, then the failure is counted and the sweep
 // keeps running on its in-memory cache (degraded, never dead).
-func (s *Session) startCacheSaver(dir string, inj *faultinject.Injector) (poke, stop func()) {
-	req := make(chan struct{}, 1)
-	done := make(chan struct{})
-	save := func(label string) {
-		err := s.persist.Do(func() error {
-			if ierr := inj.Check(faultinject.PointCacheSave, dir); ierr != nil {
-				return ierr
-			}
-			if _, err := s.cache.LoadDisk(CachePath(dir)); err != nil {
-				return fmt.Errorf("merge: %w", err)
-			}
-			return s.cache.SaveDisk(CachePath(dir))
-		})
-		if err != nil {
-			st := s.persist.State()
-			s.logf("dse: %s cache save failed (errors %d, degraded %t): %v", label, st.Errors, st.Degraded, err)
+func (s *Session) saveCache(dir string, inj *faultinject.Injector, label string) {
+	err := s.persist.Do(func() error {
+		if ierr := inj.Check(faultinject.PointCacheSave, dir); ierr != nil {
+			return ierr
 		}
-	}
-	go func() {
-		defer close(done)
-		for range req {
-			save("incremental")
+		if _, err := s.cache.LoadDisk(CachePath(dir)); err != nil {
+			return fmt.Errorf("merge: %w", err)
 		}
-	}()
-	poke = func() {
-		select {
-		case req <- struct{}{}:
-		default: // a save is already pending; it will pick these entries up
-		}
+		return s.cache.SaveDisk(CachePath(dir))
+	})
+	if err != nil {
+		st := s.persist.State()
+		s.logf("dse: %s cache save failed (errors %d, degraded %t): %v", label, st.Errors, st.Degraded, err)
 	}
-	stop = func() {
-		close(req)
-		<-done
-		save("final")
-	}
-	return poke, stop
 }
 
 // PersistenceState reports the session's disk-cache spill health: error
 // count, degraded flag, last failure. Sweep-scoped deltas land in
 // SweepStats; this is the session-lifetime view /healthz serves.
-func (s *Session) PersistenceState() PersistenceState { return s.persist.State() }
+func (s *Session) PersistenceState() persist.State { return s.persist.State() }
 
 // ResumedCells reports how many cells were served from the checkpoint
 // instead of being mapped, across the session's lifetime.
@@ -288,21 +264,21 @@ func (s *Session) RunContext(ctx context.Context, cands []arch.Config, models []
 			s.persist.Fail(err)
 			s.logf("dse: disk cache warm failed, running cold: %v", err)
 		}
-		poke, stop := s.startCacheSaver(dir, opt.FaultInjector)
-		stopped := false
-		stopSaver = func() {
-			if !stopped {
-				stopped = true
-				stop()
-			}
-		}
+		// Spill in the background as cells settle (coalesced, off the
+		// result path); stopSaver drains the runner and writes the final
+		// snapshot, once.
+		saver := persist.NewRunner(func() { s.saveCache(dir, opt.FaultInjector, "incremental") })
+		stopSaver = sync.OnceFunc(func() {
+			saver.Stop()
+			s.saveCache(dir, opt.FaultInjector, "final")
+		})
 		defer stopSaver()
 		prev := opt.OnResult
 		opt.OnResult = func(cr CandidateResult) {
 			if prev != nil {
 				prev(cr)
 			}
-			poke()
+			saver.Poke()
 		}
 	}
 	sc := s.newScheduler(ctx, cands, models, opt)
@@ -735,6 +711,10 @@ func (s *Session) SaveCheckpoint(w io.Writer) error {
 
 // LoadCheckpoint merges a previously saved checkpoint into the session;
 // matching cells in subsequent runs are restored instead of recomputed.
+// The merge is a join — any load order gives the same cells: per key the
+// wider record (larger Restarts; legacy width 0 loses to any) wins, as
+// racing portfolios are prefix-extendable, and equal widths keep the held
+// record. A stale lease's narrow upload never regresses a wide cell.
 // Cells keyed under different mapping options (batch, iterations, seeds,
 // restarts, objective exponents) never collide, so one checkpoint file can
 // serve several sweep configurations.
@@ -748,7 +728,9 @@ func (s *Session) LoadCheckpoint(r io.Reader) error {
 	}
 	s.cellMu.Lock()
 	for k, v := range cp.Cells {
-		s.cells[k] = v
+		if held, ok := s.cells[k]; !ok || v.Restarts > held.Restarts {
+			s.cells[k] = v
+		}
 	}
 	s.cellMu.Unlock()
 	return nil

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gemini/internal/arch"
@@ -126,10 +127,10 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	saved := buf.String()
 
 	// A fresh session with the checkpoint loaded must not map anything.
-	calls := 0
+	var calls atomic.Int64 // mapping workers run concurrently
 	orig := mapModelFn
 	mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
-		calls++
+		calls.Add(1)
 		return orig(ev, cfg, g, o, stop, from, to)
 	}
 	defer func() { mapModelFn = orig }()
@@ -139,8 +140,8 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := b.Run(cands, models, opt)
-	if calls != 0 {
-		t.Errorf("resumed run invoked MapModel %d times", calls)
+	if calls.Load() != 0 {
+		t.Errorf("resumed run invoked MapModel %d times", calls.Load())
 	}
 	if int(b.ResumedCells()) != len(cands)*len(models) {
 		t.Errorf("resumed %d cells, want %d", b.ResumedCells(), len(cands)*len(models))
@@ -167,7 +168,7 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 	opt2 := opt
 	opt2.SAIterations += 5
 	b.Run(cands, models, opt2)
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Error("changed options should have forced re-mapping")
 	}
 }

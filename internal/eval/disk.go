@@ -4,7 +4,7 @@
 // from its predecessor's cells instead of recomputing them.
 //
 // The format is line-oriented JSON — a version header followed by one entry
-// per line — written to a temp file and atomically renamed into place.
+// per line — written atomically through persist.WriteFile.
 // Loading tolerates corruption at entry granularity: a truncated tail or a
 // damaged line costs exactly the entries it carried, never the file, and a
 // file too broken to parse degrades to a cold cache rather than an error.
@@ -17,9 +17,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"gemini/internal/persist"
 )
 
 // diskHeader is the first line of a spilled cache file.
@@ -45,9 +47,9 @@ type diskEntry struct {
 // SaveDisk atomically writes a snapshot of every cache entry (locally
 // computed and disk-loaded alike) to path, creating parent directories as
 // needed. Entries are emitted in sorted key order, so identical caches
-// produce identical files. Concurrent SaveDisk calls are safe: each writes
-// its own temp file and the rename is atomic, so readers always see a
-// complete file (last writer wins).
+// produce identical files. Concurrent SaveDisk calls are safe: the write
+// is atomic (persist.WriteFile), so readers always see a complete file
+// (last writer wins).
 func (c *Cache) SaveDisk(path string) error {
 	type kv struct {
 		k CacheKey
@@ -73,41 +75,25 @@ func (c *Cache) SaveDisk(path string) error {
 		return ka.FP < kb.FP
 	})
 
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	err := persist.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		if err := enc.Encode(diskHeader{Kind: diskKind, Version: diskVersion}); err != nil {
+			return err
+		}
+		for _, e := range all {
+			de := diskEntry{
+				Arch:   fmt.Sprintf("%016x", e.k.Arch),
+				Graph:  fmt.Sprintf("%016x", e.k.Graph),
+				FP:     fmt.Sprintf("%016x", e.k.FP),
+				Result: e.e.r,
+			}
+			if err := enc.Encode(de); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(diskHeader{Kind: diskKind, Version: diskVersion}); err != nil {
-		tmp.Close()
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	for _, e := range all {
-		de := diskEntry{
-			Arch:   fmt.Sprintf("%016x", e.k.Arch),
-			Graph:  fmt.Sprintf("%016x", e.k.Graph),
-			FP:     fmt.Sprintf("%016x", e.k.FP),
-			Result: e.e.r,
-		}
-		if err := enc.Encode(de); err != nil {
-			tmp.Close()
-			return fmt.Errorf("eval: cache save: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("eval: cache save: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("eval: cache save: %w", err)
 	}
 	c.diskSaves.Add(1)

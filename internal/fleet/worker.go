@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"gemini/internal/dse"
+	"gemini/internal/persist"
 )
 
 // WorkerConfig configures a fleet worker process.
@@ -158,7 +159,7 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	ex := newExchange(w.cl, lease.SweepID, !w.cfg.DisableSharing)
+	ex := newExchange(lease.SweepID, !w.cfg.DisableSharing)
 	if !w.cfg.DisableSharing {
 		ex.fold(lease.Incumbent.best())
 	}
@@ -175,28 +176,68 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 	// the uploader, which snapshots the session checkpoint and ships it.
 	// Uploads prove liveness (the coordinator extends the lease), so a
 	// worker that is making progress never expires even if a renew is lost.
-	ckptPoke := make(chan struct{}, 1)
+	snapshot := func() (*CheckpointUpload, error) {
+		var buf bytes.Buffer
+		err := w.ses.SaveCheckpoint(&buf)
+		return &CheckpointUpload{
+			SweepID:    lease.SweepID,
+			LeaseID:    lease.LeaseID,
+			Worker:     w.cfg.name(),
+			Checkpoint: buf.Bytes(),
+		}, err
+	}
+	uploader := persist.NewRunner(func() {
+		if shardCtx.Err() != nil {
+			return
+		}
+		up, err := snapshot()
+		if err != nil {
+			return
+		}
+		var resp CheckpointResponse
+		code, err := w.cl.post(shardCtx, "/checkpoint", up, &resp)
+		switch {
+		case err != nil:
+		case code == http.StatusGone, code == http.StatusNotFound:
+			w.logf("fleet worker %s: lease %s lapsed; abandoning shard", w.cfg.name(), lease.LeaseID)
+			cancel()
+		case code == http.StatusOK:
+			ex.fold(resp.Incumbent.best())
+		}
+	})
+	defer uploader.Stop()
 	prevOnResult := opt.OnResult
 	opt.OnResult = func(res dse.CandidateResult) {
 		if prevOnResult != nil {
 			prevOnResult(res)
 		}
-		select {
-		case ckptPoke <- struct{}{}:
-		default:
-		}
+		uploader.Poke()
 	}
 
+	// Incumbent pusher: forwards locally achieved improvements and folds
+	// the coordinator's (possibly better) answer back into the cache. A
+	// non-sharing exchange never pokes it.
+	ex.pusher = persist.NewRunner(func() {
+		for u := ex.take(); u != nil && shardCtx.Err() == nil; u = ex.take() {
+			var st IncumbentState
+			code, err := w.cl.post(shardCtx, "/incumbent", u, &st)
+			if err == nil && code == http.StatusOK {
+				ex.fold(st.best())
+			}
+		}
+	})
+	defer ex.pusher.Stop()
+
 	stop := make(chan struct{})
-	var bg sync.WaitGroup
+	var renew sync.WaitGroup
 
 	// Lease renewal at a third of the TTL. A 410 means the lease lapsed
 	// (the shard is someone else's now): cancel the sweep — finished cells
 	// are already uploaded, so walking away loses almost nothing.
 	ttl := time.Duration(lease.TTLMS) * time.Millisecond
-	bg.Add(1)
+	renew.Add(1)
 	go func() {
-		defer bg.Done()
+		defer renew.Done()
 		tick := ttl / 3
 		if tick < 20*time.Millisecond {
 			tick = 20 * time.Millisecond
@@ -228,87 +269,24 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 		}
 	}()
 
-	// Incumbent pusher: forwards locally achieved improvements and folds
-	// the coordinator's (possibly better) answer back into the cache.
-	if !w.cfg.DisableSharing {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-shardCtx.Done():
-					return
-				case <-ex.poke:
-					for u := ex.take(); u != nil; u = ex.take() {
-						var st IncumbentState
-						code, err := w.cl.post(shardCtx, "/incumbent", u, &st)
-						if err == nil && code == http.StatusOK {
-							ex.fold(st.best())
-						}
-					}
-				}
-			}
-		}()
-	}
-
-	// Partial checkpoint uploader.
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-shardCtx.Done():
-				return
-			case <-ckptPoke:
-				var buf bytes.Buffer
-				if err := w.ses.SaveCheckpoint(&buf); err != nil {
-					continue
-				}
-				up := &CheckpointUpload{
-					SweepID:    lease.SweepID,
-					LeaseID:    lease.LeaseID,
-					Worker:     w.cfg.name(),
-					Checkpoint: buf.Bytes(),
-				}
-				var resp CheckpointResponse
-				code, err := w.cl.post(shardCtx, "/checkpoint", up, &resp)
-				switch {
-				case err != nil:
-				case code == http.StatusGone, code == http.StatusNotFound:
-					w.logf("fleet worker %s: lease %s lapsed; abandoning shard", w.cfg.name(), lease.LeaseID)
-					cancel()
-					return
-				case code == http.StatusOK:
-					ex.fold(resp.Incumbent.best())
-				}
-			}
-		}
-	}()
-
 	results, stats, runErr := w.ses.RunContext(shardCtx, cands, graphs, opt)
 	close(stop)
-	bg.Wait()
+	renew.Wait()
+	// Stop the runners before the final upload, so no partial upload
+	// races it.
+	uploader.Stop()
+	ex.pusher.Stop()
 
 	// Final upload. Complete only when every cell settled: a canceled shard
 	// must stay leased-or-reissued, not be marked done with holes. The
 	// upload itself is still worth sending on cancellation — settled cells
 	// merge soundly whoever finishes the shard.
 	complete := runErr == nil && !stats.Canceled
-	var buf bytes.Buffer
-	if err := w.ses.SaveCheckpoint(&buf); err != nil {
+	up, err := snapshot()
+	if err != nil {
 		return errors.Join(runErr, err)
 	}
-	up := &CheckpointUpload{
-		SweepID:    lease.SweepID,
-		LeaseID:    lease.LeaseID,
-		Worker:     w.cfg.name(),
-		Complete:   complete,
-		Checkpoint: buf.Bytes(),
-	}
+	up.Complete = complete
 	if complete {
 		up.Stats = &ShardStats{
 			Candidates:       stats.Candidates,
@@ -335,21 +313,20 @@ func (w *worker) runShard(ctx context.Context, lease *Lease) error {
 
 // exchange is the worker-side dse.IncumbentExchange: an atomically cached
 // fleet-wide best, refreshed by every control-plane round trip, plus a
-// coalesced outbox the pusher goroutine drains. Best is read from the
+// coalesced outbox the pusher runner drains. Best is read from the
 // scheduler's hot gates, so it must stay a bare atomic load.
 type exchange struct {
-	cl      *client
 	sweepID string
 	share   bool
 	bits    atomic.Uint64
 
 	mu      sync.Mutex
 	pending *IncumbentUpdate
-	poke    chan struct{}
+	pusher  *persist.Runner // drains pending; nil until the shard starts it
 }
 
-func newExchange(cl *client, sweepID string, share bool) *exchange {
-	e := &exchange{cl: cl, sweepID: sweepID, share: share, poke: make(chan struct{}, 1)}
+func newExchange(sweepID string, share bool) *exchange {
+	e := &exchange{sweepID: sweepID, share: share}
 	e.bits.Store(math.Float64bits(math.Inf(1)))
 	return e
 }
@@ -386,9 +363,8 @@ func (e *exchange) Improved(candidate string, obj float64) {
 	e.mu.Lock()
 	e.pending = &IncumbentUpdate{SweepID: e.sweepID, Candidate: candidate, Objective: obj}
 	e.mu.Unlock()
-	select {
-	case e.poke <- struct{}{}:
-	default:
+	if e.pusher != nil {
+		e.pusher.Poke()
 	}
 }
 

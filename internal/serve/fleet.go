@@ -1,39 +1,29 @@
 package serve
 
 import (
+	"io"
 	"os"
 
 	"gemini/internal/fleet"
+	"gemini/internal/persist"
 )
 
 // persistFleetCheckpoint writes a completed fleet sweep's canonical merged
 // checkpoint to the same DataDir file a /sweep checkpoint of that id would
-// use (atomic temp+rename, persistence-tracker accounting). A fleet sweep
+// use (persist.WriteFile under the persistence tracker). A fleet sweep
 // and a later /sweep of the same spec therefore resume each other's cells.
 func (s *Server) persistFleetCheckpoint(id string, data []byte) {
 	path := s.checkpointPath(id)
 	if path == "" {
 		return
 	}
-	write := func() error {
-		if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
+	err := s.persist.Do(func() error {
+		return persist.WriteFile(path, func(w io.Writer) error {
+			_, err := w.Write(data)
 			return err
-		}
-		tmp, err := os.CreateTemp(s.cfg.DataDir, id+".tmp-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
-	}
-	if err := s.persist.Do(write); err != nil {
+		})
+	})
+	if err != nil {
 		s.logf("serve: fleet sweep %s: checkpoint save failed: %v", id, err)
 		return
 	}

@@ -50,6 +50,7 @@ import (
 	"gemini/internal/dse"
 	"gemini/internal/faultinject"
 	"gemini/internal/fleet"
+	"gemini/internal/persist"
 )
 
 // Config sizes and locates a Server. The zero value is usable: it serves
@@ -165,7 +166,7 @@ type Server struct {
 	// persist tracks checkpoint/status save health server-wide; a failing
 	// DataDir degrades persistence (sweeps keep running and streaming), it
 	// never fails a sweep. /healthz surfaces the state.
-	persist dse.PersistenceTracker
+	persist persist.Tracker
 
 	// Lifetime fault counters aggregated from every finished sweep's stats,
 	// served by /healthz.
@@ -410,7 +411,7 @@ type SessionHealth struct {
 	ResumedCells int64 `json:"resumed_cells"`
 	// Persistence is the session's disk-cache spill health: failed spills
 	// degrade restart cost, never the sweeps themselves.
-	Persistence dse.PersistenceState `json:"persistence"`
+	Persistence persist.State `json:"persistence"`
 }
 
 // FaultCounts aggregates the fault-handling counters of every sweep the
@@ -512,7 +513,7 @@ type Health struct {
 	// Faults aggregates fault-handling counters across finished sweeps.
 	Faults FaultCounts `json:"faults"`
 	// Persistence is the server-side checkpoint/status save health.
-	Persistence dse.PersistenceState `json:"persistence"`
+	Persistence persist.State `json:"persistence"`
 	// PersistenceDegraded reports that any persistence path — the server's
 	// checkpoint/status saves or a session's disk-cache spill — is currently
 	// degraded (several consecutive failed saves). Work continues in memory;

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -25,6 +26,7 @@ import (
 
 	"gemini/internal/dse"
 	"gemini/internal/faultinject"
+	"gemini/internal/persist"
 )
 
 // SweepState is the lifecycle state of a sweep.
@@ -485,24 +487,11 @@ func (s *Server) saveStatus(sw *sweep) {
 		if ierr := s.cfg.FaultInjector.Check(faultinject.PointStatusSave, sw.id); ierr != nil {
 			return ierr
 		}
-		if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
-			return err
-		}
-		tmp, err := os.CreateTemp(s.cfg.DataDir, sw.id+".status.tmp-*")
-		if err != nil {
-			return err
-		}
-		defer os.Remove(tmp.Name())
-		enc := json.NewEncoder(tmp)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sw.status()); err != nil {
-			tmp.Close()
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp.Name(), path)
+		return persist.WriteFile(path, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(sw.status())
+		})
 	}
 	if err := s.persist.Do(write); err != nil {
 		s.logf("serve: sweep %s: status save failed: %v", sw.id, err)
@@ -704,33 +693,6 @@ func (s *Server) loadCheckpoint(ses *dse.Session, id string) error {
 	return fmt.Errorf("corrupt checkpoint quarantined: %w", lerr)
 }
 
-// saveCheckpoint atomically persists the session's settled cells under the
-// sweep's id. The session is shared, so the file may also carry cells of
-// concurrent sweeps — harmless (cells are keyed by architecture, model and
-// options) and useful: resuming one sweep warms its neighbours too.
-func (s *Server) saveCheckpoint(ses *dse.Session, id string) error {
-	path := s.checkpointPath(id)
-	if path == "" {
-		return nil
-	}
-	if err := os.MkdirAll(s.cfg.DataDir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.cfg.DataDir, id+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := ses.SaveCheckpoint(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // --- the POST /sweep handler ---------------------------------------------
 
 // specBodyLimit bounds a POST /sweep request body.
@@ -893,27 +855,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		CheckpointCells: ses.SettledCells(cands, graphs, opt),
 	})
 
-	// Checkpoint continuously but off the result path: OnResult runs in
-	// the scheduler's serialized callback section, so serializing the
-	// whole session to disk there would stall sweep workers. A dedicated
-	// saver goroutine coalesces save requests instead — the on-disk state
-	// trails the stream only by saves still in flight, and the final save
-	// below covers the tail.
-	saveReq := make(chan struct{}, 1)
-	saverDone := make(chan struct{})
 	// sweepPersistErrs counts this sweep's own failed checkpoint saves; it is
 	// folded into the sweep's stats after the run (the server-wide tracker
 	// also counts them, but it is shared across sweeps).
 	var sweepPersistErrs atomic.Int64
+	// save atomically persists the session's settled cells under the
+	// sweep's id. The session is shared, so the file may also carry cells
+	// of concurrent sweeps — harmless (cells are keyed by architecture,
+	// model and options) and useful: resuming one sweep warms its
+	// neighbours too.
 	save := func(label string) {
-		if s.checkpointPath(spec.ID) == "" {
+		path := s.checkpointPath(spec.ID)
+		if path == "" {
 			return
 		}
 		err := s.persist.Do(func() error {
 			if ierr := s.cfg.FaultInjector.Check(faultinject.PointCheckpointSave, spec.ID); ierr != nil {
 				return ierr
 			}
-			return s.saveCheckpoint(ses, spec.ID)
+			return persist.WriteFile(path, ses.SaveCheckpoint)
 		})
 		if err != nil {
 			sweepPersistErrs.Add(1)
@@ -924,24 +884,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		sw.ckpt.Store(true)
 	}
-	go func() {
-		defer close(saverDone)
-		for range saveReq {
-			save("incremental")
-		}
-	}()
-	// Drain the saver exactly once, whether the run returns or the backstop
-	// above is unwinding a panic (a leaked saver goroutine would pin the
-	// session forever).
-	saverStopped := false
-	stopSaver := func() {
-		if !saverStopped {
-			saverStopped = true
-			close(saveReq)
-			<-saverDone
-		}
-	}
-	defer stopSaver()
+	// Checkpoint continuously but off the result path: OnResult runs in
+	// the scheduler's serialized callback section, so serializing the
+	// whole session to disk there would stall sweep workers. A background
+	// runner coalesces save requests instead — the on-disk state trails the
+	// stream only by saves still in flight, and the final save below covers
+	// the tail. The deferred Stop also runs when the backstop above is
+	// unwinding a panic (a leaked saver goroutine would pin the session
+	// forever); Stop is idempotent.
+	saver := persist.NewRunner(func() { save("incremental") })
+	defer saver.Stop()
 
 	// runCtx is the current dispatch round's context; OnResult reads it to
 	// tell preemption cancellations apart from real outcomes.
@@ -976,10 +928,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		seqMu.Unlock()
 		sw.noteResult(cs)
 		emit(Event{Type: "result", SweepID: spec.ID, Seq: n, Result: cs})
-		select {
-		case saveReq <- struct{}{}:
-		default: // a save is already pending; it will pick this cell up
-		}
+		saver.Poke()
 	}
 	// Racing sweeps additionally stream one event per completed rung, so a
 	// client watching the NDJSON stream sees budget concentrate on the
@@ -1050,7 +999,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		sw.markRunning()
 		emit(Event{Type: "resumed", SweepID: spec.ID, Tenant: tenant, Priority: string(priority), CheckpointCells: settled})
 	}
-	stopSaver()
+	saver.Stop()
 	save("final")
 
 	// Fold this sweep's own checkpoint-save failures into its stats: the
