@@ -279,12 +279,11 @@ func schedulerBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
 	return cands, models, opt
 }
 
-// benchScheduler runs the scheduler sweep at the given order/patience and
-// reports the scheduler's work-saved accounting as custom metrics.
-func benchScheduler(b *testing.B, order dse.SweepOrder, patience int) *dse.CandidateResult {
+// benchScheduler runs the scheduler sweep in the given order and reports
+// the scheduler's work-saved accounting as custom metrics.
+func benchScheduler(b *testing.B, order dse.SweepOrder) *dse.CandidateResult {
 	cands, models, opt := schedulerBench()
 	opt.Order = order
-	opt.Patience = patience
 	var best *dse.CandidateResult
 	var stats dse.SweepStats
 	b.ResetTimer()
@@ -299,19 +298,18 @@ func benchScheduler(b *testing.B, order dse.SweepOrder, patience int) *dse.Candi
 	b.StopTimer()
 	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
 	b.ReportMetric(float64(stats.AbandonedRestarts), "abandoned_restarts")
-	b.ReportMetric(float64(stats.SkippedRestarts), "skipped_restarts")
 	return best
 }
 
 // BenchmarkDSESweepGridFixed is the pre-scheduler baseline: grid dispatch
 // order, full fixed 4-restart portfolios.
-func BenchmarkDSESweepGridFixed(b *testing.B) { benchScheduler(b, dse.OrderGrid, 0) }
+func BenchmarkDSESweepGridFixed(b *testing.B) { benchScheduler(b, dse.OrderGrid) }
 
 // BenchmarkDSESweepOrdered dispatches in ascending lower-bound order with
 // the same fixed portfolios: pruning soundness guarantees the same best
 // result, the weak tail just never gets mapped.
 func BenchmarkDSESweepOrdered(b *testing.B) {
-	got := benchScheduler(b, dse.OrderBound, 0)
+	got := benchScheduler(b, dse.OrderBound)
 	b.StopTimer()
 	cands, models, opt := schedulerBench()
 	opt.Order = dse.OrderGrid
@@ -321,10 +319,6 @@ func BenchmarkDSESweepOrdered(b *testing.B) {
 			got.Cfg.Name, got.Obj, want.Cfg.Name, want.Obj)
 	}
 }
-
-// BenchmarkDSESweepAdaptive adds the adaptive portfolio: bound order plus
-// patience-1 early stopping of non-improving restarts.
-func BenchmarkDSESweepAdaptive(b *testing.B) { benchScheduler(b, dse.OrderBound, 1) }
 
 // --- Micro-benchmarks of the framework's hot paths. ---
 

@@ -38,9 +38,7 @@ func main() {
 	batch := flag.Int("batch", 64, "batch size (64 = throughput scenario)")
 	saIters := flag.Int("sa", 600, "SA iterations per candidate/model mapping")
 	restarts := flag.Int("restarts", 1, "SA portfolio width per (candidate, model) cell")
-	patience := flag.Int("patience", 0, "stop a cell's SA portfolio after N consecutive non-improving restarts (0 = always run all restarts)")
-	racing := flag.Bool("racing", false, "allocate restarts by successive halving: every candidate gets one exploratory restart, then the budget doubles for the best half each rung until only finalists run the full portfolio (forces -patience off; the winner is identical to the uniform sweep's)")
-	racingKeep := flag.Float64("racing-keep", 0, "fraction of candidates promoted per racing rung, inside (0, 1); 0 = the engine default of 1/2")
+	racing := flag.Bool("racing", false, "allocate restarts by successive halving: every candidate gets one exploratory restart, then the budget doubles for the best half each rung until only finalists run the full portfolio (the winner is identical to the uniform sweep's)")
 	order := flag.String("order", "bound", "candidate dispatch order: bound (ascending objective lower bound, tightens the pruning incumbent early) or grid (enumeration order)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	alpha := flag.Float64("alpha", 1, "MC exponent of the objective")
@@ -48,7 +46,6 @@ func main() {
 	gamma := flag.Float64("gamma", 1, "delay exponent of the objective")
 	prune := flag.Bool("prune", false, "skip candidates whose objective lower bound exceeds the best seen (decisions are logged)")
 	bound := flag.String("bound", "compulsory", "lower-bound formulation for pruning/ordering: compulsory (compute + DRAM + compulsory activation/interconnect traffic), cut (compulsory plus a per-cut bisection-bandwidth delay floor over the NoC/D2D link graph) or compute-dram (the legacy compute+weight bound)")
-	abandonEvery := flag.Int("abandon-every", 0, "in-loop abandonment stride: dominated cells stop mid-anneal after this many SA iterations (0 = engine default of 32, negative = between-restart checks only)")
 	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warm group evaluations from a previous process and re-save as the sweep runs")
 	retry := flag.Int("retry", 0, "retry a (candidate, model) cell up to N times after a transient failure (panic, timeout, transient I/O); 0 disables retry")
 	retryBase := flag.Duration("retry-base-delay", 0, "first retry backoff (0 = engine default of 10ms); doubles per retry with jitter")
@@ -88,16 +85,10 @@ func main() {
 	opt.Batch = *batch
 	opt.SAIterations = *saIters
 	opt.Restarts = *restarts
-	opt.Patience = *patience
 	opt.Racing = *racing
-	opt.RacingKeep = *racingKeep
-	if *racingKeep != 0 && (*racingKeep <= 0 || *racingKeep >= 1) {
-		log.Fatalf("-racing-keep %v outside (0, 1)", *racingKeep)
-	}
 	opt.Workers = *workers
 	opt.Objective = dse.Objective{Alpha: *alpha, Beta: *beta, Gamma: *gamma}
 	opt.Prune = *prune
-	opt.AbandonEvery = *abandonEvery
 	opt.CacheDir = *cacheDir
 	opt.Retry = dse.RetryPolicy{Max: *retry, BaseDelay: *retryBase, MaxDelay: *retryMax}
 	opt.CellTimeout = *cellTimeout
@@ -146,8 +137,8 @@ func main() {
 
 	cands := sp.Enumerate()
 	total := len(cands)
-	fmt.Printf("space %s: %d candidates, %d workload(s), batch %d, restarts %d (patience %d), order %s\n",
-		sp.Name, total, len(graphs), *batch, *restarts, *patience, opt.Order)
+	fmt.Printf("space %s: %d candidates, %d workload(s), batch %d, restarts %d, order %s\n",
+		sp.Name, total, len(graphs), *batch, *restarts, opt.Order)
 	done := 0
 	if *stream {
 		opt.OnResult = func(r dse.CandidateResult) {
@@ -175,8 +166,8 @@ func main() {
 			dse.CachePath(*cacheDir), st.DiskLoaded, st.DiskHits, st.DiskSaves)
 	}
 	ss := ses.LastSweepStats()
-	fmt.Printf("scheduler: order=%s (bound=%s), %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d skipped by patience, %d SA iterations\n",
-		ss.Order, *bound, ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SkippedRestarts, ss.SAIterations)
+	fmt.Printf("scheduler: order=%s (bound=%s), %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
+		ss.Order, *bound, ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
 	if ss.Retries+ss.Panics+ss.DeadlineExceeded+ss.PersistenceErrors > 0 {
 		fmt.Printf("faults: %d retries, %d recovered panics, %d deadline expiries, %d persistence errors (degraded=%t)\n",
 			ss.Retries, ss.Panics, ss.DeadlineExceeded, ss.PersistenceErrors, ss.PersistenceDegraded)

@@ -435,35 +435,52 @@ func (g *Graph) Consumers() [][]int {
 // for multi-input layers, and dimensions are positive.
 func (g *Graph) Validate() error {
 	for i, l := range g.Layers {
-		if l.ID != i {
-			return fmt.Errorf("dnn: layer %q has ID %d at position %d", l.Name, l.ID, i)
-		}
-		if l.OH <= 0 || l.OW <= 0 || l.OK <= 0 {
-			return fmt.Errorf("dnn: layer %q has non-positive output cube %dx%dx%d", l.Name, l.OH, l.OW, l.OK)
-		}
-		if len(l.Inputs) == 0 {
-			return fmt.Errorf("dnn: layer %q has no inputs", l.Name)
-		}
-		for _, in := range l.Inputs {
-			if in.Src != ExternalInput && (in.Src < 0 || in.Src >= i) {
-				return fmt.Errorf("dnn: layer %q has edge from %d breaking topological order", l.Name, in.Src)
-			}
-			if in.DstOff < 0 || in.DstOff >= l.IC {
-				return fmt.Errorf("dnn: layer %q edge offset %d outside input channels [0,%d)", l.Name, in.DstOff, l.IC)
-			}
-		}
-		if l.Kind == Conv {
-			g := l.Groups
-			if g <= 0 {
-				g = 1
-			}
-			if l.IC%g != 0 || l.OK%g != 0 {
-				return fmt.Errorf("dnn: layer %q groups %d do not divide IC=%d OK=%d", l.Name, g, l.IC, l.OK)
-			}
+		if err := l.validate(i); err != nil {
+			return fmt.Errorf("dnn: %w", err)
 		}
 	}
 	if len(g.Layers) == 0 {
 		return errors.New("dnn: empty graph")
+	}
+	return nil
+}
+
+// validate checks one layer at position i of its graph: identity, output
+// cube, input edges, and the kernel geometry of Conv/Pool layers.
+func (l *Layer) validate(i int) error {
+	if l.ID != i {
+		return fmt.Errorf("layer %q has ID %d at position %d", l.Name, l.ID, i)
+	}
+	if l.OH <= 0 || l.OW <= 0 || l.OK <= 0 {
+		return fmt.Errorf("layer %q has non-positive output cube %dx%dx%d", l.Name, l.OH, l.OW, l.OK)
+	}
+	if len(l.Inputs) == 0 {
+		return fmt.Errorf("layer %q has no inputs", l.Name)
+	}
+	for _, in := range l.Inputs {
+		if in.Src != ExternalInput && (in.Src < 0 || in.Src >= i) {
+			return fmt.Errorf("layer %q has edge from %d breaking topological order", l.Name, in.Src)
+		}
+		if in.DstOff < 0 || in.DstOff >= l.IC {
+			return fmt.Errorf("layer %q edge offset %d outside input channels [0,%d)", l.Name, in.DstOff, l.IC)
+		}
+	}
+	if l.Kind == Conv || l.Kind == Pool {
+		if l.Stride < 1 {
+			return fmt.Errorf("layer %q has stride %d, want >= 1", l.Name, l.Stride)
+		}
+		if l.PadH < 0 || l.PadW < 0 {
+			return fmt.Errorf("layer %q has negative padding %dx%d", l.Name, l.PadH, l.PadW)
+		}
+	}
+	if l.Kind == Conv {
+		g := l.Groups
+		if g <= 0 {
+			g = 1
+		}
+		if l.IC%g != 0 || l.OK%g != 0 {
+			return fmt.Errorf("layer %q groups %d do not divide IC=%d OK=%d", l.Name, g, l.IC, l.OK)
+		}
 	}
 	return nil
 }

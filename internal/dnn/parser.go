@@ -55,6 +55,7 @@ func Parse(r io.Reader) (*Graph, error) {
 			return fmt.Errorf("dnn: line %d: %w", lineNo, fmt.Errorf(format, a...))
 		}
 
+		start := len(b.g.Layers)
 		switch op {
 		case "model":
 			if len(args) != 1 {
@@ -164,6 +165,13 @@ func Parse(r io.Reader) (*Graph, error) {
 			}
 		default:
 			return nil, fail("unknown op %q", op)
+		}
+		// Check the layers this line added here, so a bad one is reported
+		// against its line rather than by Build's whole-graph Validate.
+		for i := start; i < len(b.g.Layers); i++ {
+			if err := b.g.Layers[i].validate(i); err != nil {
+				return nil, fail("%w", err)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {

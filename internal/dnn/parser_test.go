@@ -148,3 +148,38 @@ func TestParseNumericOptionErrorWrapped(t *testing.T) {
 		t.Fatalf("parse error %v does not wrap *strconv.NumError", err)
 	}
 }
+
+// TestBadKernelGeometryRejected: conv and pool layers need a stride of at
+// least 1 and non-negative padding. Parse reports the offending line, and
+// Graph.Validate rejects the same geometry on a built graph.
+func TestBadKernelGeometryRejected(t *testing.T) {
+	for _, c := range []struct {
+		line, want string
+	}{
+		{"conv c1 x k=8 r=3 stride=0", "stride 0"},
+		{"conv c1 x k=8 r=3 stride=-2", "stride -2"},
+		{"conv c1 x k=8 r=3 pad=-1", "negative padding"},
+		{"pool c1 x r=2 stride=-1", "stride -1"},
+		{"pool c1 x r=2 stride=0", "stride 0"},
+		{"pool c1 x r=2 pad=-1", "negative padding"},
+	} {
+		_, err := ParseString("model bad\ninput x 16 16 8\n" + c.line + "\n")
+		if err == nil || !strings.Contains(err.Error(), "line 3:") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want line 3 and %q", c.line, err, c.want)
+		}
+	}
+
+	for _, c := range []struct {
+		name   string
+		mutate func(*Layer)
+	}{
+		{"conv stride 0", func(l *Layer) { l.Stride = 0 }},
+		{"conv negative pad", func(l *Layer) { l.PadW = -1 }},
+	} {
+		g := TinyCNN()
+		c.mutate(g.Layers[0])
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the layer", c.name)
+		}
+	}
+}

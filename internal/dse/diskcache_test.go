@@ -96,7 +96,7 @@ func TestCacheDirExcludedFromCellFingerprint(t *testing.T) {
 	b := testOptions()
 	b.CacheDir = filepath.Join(t.TempDir(), "x")
 	b.Bound = BoundComputeDRAM
-	b.AbandonEvery = 7
+	b.betweenRestartsOnly = true
 	if optsFingerprint(a) != optsFingerprint(b) {
 		t.Error("scheduling-only options leak into the cell fingerprint")
 	}

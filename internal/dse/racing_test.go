@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -29,30 +30,17 @@ func racingCands(t *testing.T) []arch.Config {
 }
 
 // TestRacingFingerprintExcluded pins the checkpoint-compatibility claim:
-// Racing and RacingKeep re-allocate restart budget across candidates but
-// never change which seeds a restart index anneals with, so they must not
-// move cells to a different fingerprint — racing and uniform sweeps share
-// (and extend) each other's checkpoints.
+// Racing re-allocates restart budget across candidates but never changes
+// which seeds a restart index anneals with, so it must not move cells to a
+// different fingerprint — racing and uniform sweeps share (and extend) each
+// other's checkpoints.
 func TestRacingFingerprintExcluded(t *testing.T) {
 	a := testOptions()
 	b := a
 	b.Racing = true
-	b.RacingKeep = 0.25
 	b.OnRung = func(RungStats) {}
 	if optsFingerprint(a) != optsFingerprint(b) {
-		t.Error("Racing/RacingKeep/OnRung changed the options fingerprint")
-	}
-	// Racing forces Patience off before fingerprinting, so a racing sweep
-	// with a stray Patience still lands on the uniform sweep's cells.
-	c := b
-	c.Patience = 2
-	c.Restarts = 8
-	u := a
-	u.Restarts = 8
-	ses := NewSession()
-	sc := ses.newScheduler(t.Context(), nil, nil, c)
-	if sc.optFP != optsFingerprint(u) {
-		t.Error("racing scheduler did not normalize Patience out of the fingerprint")
+		t.Error("Racing/OnRung changed the options fingerprint")
 	}
 }
 
@@ -233,29 +221,26 @@ func TestRacingSingleCandidate(t *testing.T) {
 	resultsEqual(t, want, got, "single-candidate race vs uniform")
 }
 
-// TestRacingKeepFraction: a harsher keep fraction eliminates more candidates
-// per rung while a keep near 1 promotes everyone until the final rung.
+// TestRacingKeepFraction pins the fixed promotion rule: every rung but the
+// last promotes the better half of its candidates, rounded up, and the
+// final rung keeps everyone it admitted.
 func TestRacingKeepFraction(t *testing.T) {
 	cands := racingCands(t)
-	models := []*dnn.Graph{testCNN}
 	opt := testOptions()
 	opt.Prune = false
 	opt.Restarts = 4
 	opt.Racing = true
 
-	harsh := opt
-	harsh.RacingKeep = 0.26 // ceil(0.26*4) = 2, then ceil(0.26*2) = 1
 	ses := NewSession()
-	ses.Run(cands, models, harsh)
-	hr := ses.LastSweepStats().Rungs
-	if len(hr) == 0 || hr[0].Survivors != 2 {
-		t.Fatalf("keep=0.26 rung 0 promoted %+v, want 2 of 4", hr)
+	ses.Run(cands, []*dnn.Graph{testCNN}, opt)
+	rungs := ses.LastSweepStats().Rungs
+	var got []int
+	for _, r := range rungs {
+		got = append(got, r.Survivors)
 	}
-
-	lax := opt
-	lax.RacingKeep = 0.99 // ceil(0.99*n) = n: nobody is eliminated
-	ses2 := NewSession()
-	lr := ses2.Run(cands, models, lax)
-	want := NewSession().Run(cands, models, func() Options { o := opt; o.Racing = false; return o }())
-	resultsEqual(t, want, lr, "keep~1 race vs uniform")
+	// 4 candidates: rung 0 (width 1) keeps 2, rung 1 (width 2) keeps 1,
+	// the final rung (width 4) keeps its single finalist.
+	if want := []int{2, 1, 1}; !slices.Equal(got, want) {
+		t.Errorf("rung survivors %v (rungs %+v), want %v", got, rungs, want)
+	}
 }

@@ -67,47 +67,26 @@ type Options struct {
 	// results are computed when pruning is off, only their schedule, so it
 	// is excluded from the checkpoint fingerprint.
 	Order SweepOrder
-	// Patience makes the per-cell SA portfolio adaptive: the portfolio
-	// stops after this many consecutive non-improving restarts. 0 (and any
-	// value >= Restarts) runs the full fixed schedule, bit-identical to the
-	// pre-adaptive engine.
-	Patience int
 	// Racing switches restart allocation from uniform (every cell runs the
 	// full Restarts-wide portfolio) to successive halving across candidates:
 	// the scheduler dispatches one cheap exploratory restart per surviving
 	// candidate, ranks candidates by their best-so-far objective against the
-	// live incumbent, promotes only the top RacingKeep fraction to the next
-	// rung with a doubled restart budget, and repeats until the budget
-	// concentrates on the finalists at the full Restarts width. Every cell a
+	// live incumbent, promotes only the better half to the next rung with
+	// a doubled restart budget, and repeats until the budget concentrates
+	// on the finalists at the full Restarts width. Every cell a
 	// rung settles is a prefix of the same derived-seed portfolio a uniform
 	// sweep would run, so racing only re-allocates restart budget across
 	// candidates — it never changes which seeds a given restart index uses.
 	// That is why Racing is excluded from the checkpoint cell fingerprint:
 	// checkpointed cells re-enter at the rung their settled restart count
 	// implies, and a finalist's cell is bit-identical to the uniform sweep's.
-	// Racing forces Patience off (rung widths are the adaptive schedule) and
-	// is off by default, leaving sweeps bit-identical to the uniform engine.
+	// Racing is off by default, leaving sweeps bit-identical to the uniform
+	// engine.
 	Racing bool `json:"racing,omitempty"`
-	// RacingKeep is the fraction of surviving candidates promoted at each
-	// racing rung, in (0, 1); a rung always promotes at least one candidate.
-	// 0 (the zero value) uses the default 1/2. Like Racing it only
-	// re-allocates restart budget, so it is excluded from the checkpoint
-	// fingerprint.
-	RacingKeep float64 `json:"racing_keep,omitempty"`
 	// OnRung, when set, streams one RungStats record as each racing rung
 	// completes (no calls unless Racing is on). Calls are serialized in rung
 	// order. Purely observational — excluded from the checkpoint fingerprint.
 	OnRung func(RungStats) `json:"-"`
-	// AbandonEvery controls in-loop abandonment: with pruning active, every
-	// cell's SA search polls the scheduler's live incumbent on this
-	// iteration stride and walks away mid-anneal once its candidate is
-	// dominated (on top of the existing between-restart checks). 0 uses the
-	// engine default (32); < 0 disables the in-loop check, restoring the
-	// between-restarts-only behavior. Abandoned cells are never settled or
-	// checkpointed, so the option only schedules — like Order it is excluded
-	// from the checkpoint fingerprint and non-abandoned results stay
-	// bit-identical.
-	AbandonEvery int `json:"abandon_every,omitempty"`
 	// Bound selects the lower-bound formulation behind Prune and OrderBound:
 	// BoundCompulsory (the zero value) is the full compulsory-traffic bound;
 	// BoundComputeDRAM is the historical compute+weight-DRAM bound, kept for
@@ -184,6 +163,11 @@ type Options struct {
 	// Prune it only skips work — it never changes a computed cell's bits —
 	// so it is excluded from the checkpoint fingerprint.
 	Incumbent IncumbentExchange `json:"-"`
+
+	// betweenRestartsOnly turns off in-loop abandonment, leaving only the
+	// between-restart stop gate: the baseline the package's tests measure
+	// the in-loop check against.
+	betweenRestartsOnly bool
 }
 
 // IncumbentExchange is the external incumbent source/sink a fleet worker
@@ -230,12 +214,9 @@ type MapResult struct {
 	// Restarts and BestRestart describe the SA portfolio that produced this
 	// result (1/0 for a single-seed run). Restarts counts the cumulative
 	// portfolio width settled so far — restarts that actually ran, plus the
-	// checkpointed prefix when a cell was widened incrementally;
-	// SkippedRestarts counts planned restarts that portfolio patience
-	// stopped early (0 for fixed schedules and restored cells).
-	Restarts        int
-	BestRestart     int
-	SkippedRestarts int
+	// checkpointed prefix when a cell was widened incrementally.
+	Restarts    int
+	BestRestart int
 	// SAIterations is the total annealing iterations attempted across the
 	// portfolio (0 for restored cells, which did no search work).
 	SAIterations int
@@ -312,15 +293,14 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 	so.Iterations = opt.SAIterations
 	so.Seed = opt.Seed
 	so.Beta, so.Gamma = opt.Objective.Beta, opt.Objective.Gamma
-	if stop != nil && opt.AbandonEvery >= 0 {
+	if stop != nil && !opt.betweenRestartsOnly {
 		// In-loop abandonment: the scheduler's stop gate also interrupts the
 		// annealing hot loop itself, not just the gaps between restarts, so
-		// a cell dominated mid-anneal stops within AbandonEvery iterations.
+		// a cell dominated mid-anneal stops within sa's polling stride (32
+		// iterations).
 		so.Dominated = func(float64) bool { return stop() }
-		so.CheckEvery = opt.AbandonEvery
 	}
-	pf := sa.MultiStartRange(part.Scheme, ev, so, from, to,
-		sa.AdaptiveOptions{Patience: activePatience(opt), Stop: stop})
+	pf := sa.MultiStartRange(part.Scheme, ev, so, from, to, sa.AdaptiveOptions{Stop: stop})
 	if pf.Panic != nil {
 		// A panicked restart poisons the whole portfolio: folding only the
 		// restarts that preceded the fault would tie the result to where the
@@ -349,7 +329,6 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 		AvgLayersPerGroup: eval.AvgLayersPerGroup(res.Scheme),
 		Restarts:          from + len(pf.Costs),
 		BestRestart:       pf.BestRestart,
-		SkippedRestarts:   pf.Skipped(),
 		SAIterations:      pf.Iterations,
 	}, nil
 }
@@ -357,15 +336,13 @@ func mapModelRange(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, opt Optio
 // pairOutcome is one (candidate, model) mapping cell: a result, an
 // infeasibility (mr == nil, err wraps ErrInfeasible), or an infrastructure
 // error (mr == nil, any other err). The scheduler accounting fields ride
-// along: restored cells came from the checkpoint, skippedRestarts were
-// saved by portfolio patience, and an abandoned cell was cut off by the
-// live incumbent (no settled outcome at all).
+// along: restored cells came from the checkpoint, and an abandoned cell was
+// cut off by the live incumbent (no settled outcome at all).
 type pairOutcome struct {
 	mr  *MapResult
 	err error
 
 	restored          bool
-	skippedRestarts   int
 	abandoned         bool
 	abandonedRestarts int
 	saIterations      int

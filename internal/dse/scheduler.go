@@ -89,8 +89,6 @@ type SweepStats struct {
 	// incumbent dominated a cell's candidate mid-portfolio (a restart cut
 	// off mid-anneal by the in-loop check counts: it never finished).
 	AbandonedRestarts int
-	// SkippedRestarts counts SA restarts saved by portfolio patience.
-	SkippedRestarts int
 	// SAIterations is the total annealing iterations the sweep attempted
 	// across every cell, partial abandoned restarts included. With in-loop
 	// abandonment active a dominated-cell workload spends strictly fewer
@@ -229,7 +227,6 @@ type scheduler struct {
 	resumed   atomic.Int64
 	pruned    atomic.Int64
 	abandoned atomic.Int64
-	skipped   atomic.Int64
 	saIters   atomic.Int64
 
 	retries  atomic.Int64
@@ -252,13 +249,6 @@ func (sc *scheduler) notePanic(where, stack string) {
 // newScheduler computes per-candidate bounds, fixes the dispatch order and
 // seeds the incumbent from checkpointed cells.
 func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models []*dnn.Graph, opt Options) *scheduler {
-	if opt.Racing {
-		// Racing is the adaptive schedule: rung widths replace portfolio
-		// patience. Normalizing it away here keeps the cell fingerprint
-		// identical to the plain uniform sweep's, so racing and uniform
-		// sweeps extend each other's checkpointed cells.
-		opt.Patience = 0
-	}
 	sc := &scheduler{
 		ses:    s,
 		ctx:    ctx,
@@ -572,17 +562,13 @@ func racingBudgets(r int) []int {
 // candidate's cells are settled at the rung's cumulative restart width (a
 // checkpointed or earlier-rung cell re-enters at its stored width and runs
 // only the missing restart window), the candidates are ranked by their
-// folded objective against each other, and only the top RacingKeep fraction
-// is promoted to the next, twice-as-wide rung. A rung-b outcome is a real
+// folded objective against each other, and only the better half (rounded
+// up) is promoted to the next, twice-as-wide rung. A rung-b outcome is a real
 // achieved mapping, so it both feeds the pruning incumbent and stands as an
 // eliminated candidate's final (partial-width, never Pruned) result.
 // Finalists end at the full width, bit-identical to the uniform sweep's
 // result for the same candidate.
 func (sc *scheduler) runRacing(nm int, per [][]pairOutcome, finish func(ci int)) {
-	keep := sc.opt.RacingKeep
-	if keep <= 0 || keep >= 1 {
-		keep = 0.5
-	}
 	finished := make([]bool, len(sc.cands))
 	emit := func(ci int) {
 		if !finished[ci] {
@@ -635,13 +621,7 @@ func (sc *scheduler) runRacing(nm int, per [][]pairOutcome, finish func(ci int))
 
 		promoted := len(ranked)
 		if r < len(budgets)-1 {
-			promoted = int(math.Ceil(keep * float64(len(ranked))))
-			if promoted < 1 {
-				promoted = 1
-			}
-			if promoted > len(ranked) {
-				promoted = len(ranked)
-			}
+			promoted = (len(ranked) + 1) / 2
 		}
 		rs := RungStats{Rung: r, Budget: budget, Candidates: entered, Survivors: promoted}
 		sc.rungs = append(sc.rungs, rs)
@@ -803,7 +783,6 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRe
 	if out.restored && countRestores {
 		sc.resumed.Add(1)
 	}
-	sc.skipped.Add(int64(out.skippedRestarts))
 	per[ci][mi] = out
 }
 
@@ -823,7 +802,6 @@ func (sc *scheduler) publishStats() {
 		ResumedCells:      int(sc.resumed.Load()),
 		PrunedCandidates:  int(sc.pruned.Load()),
 		AbandonedRestarts: int(sc.abandoned.Load()),
-		SkippedRestarts:   int(sc.skipped.Load()),
 		SAIterations:      int(sc.saIters.Load()),
 		Retries:           int(sc.retries.Load()),
 		Panics:            int(sc.panics.Load()),
@@ -842,9 +820,9 @@ func (sc *scheduler) publishStats() {
 	if stats.Canceled {
 		state = "canceled"
 	}
-	sc.ses.logf("dse: sweep %s %s (order %s): %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, %d skipped by patience, incumbent %.6g",
+	sc.ses.logf("dse: sweep %s %s (order %s): %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, incumbent %.6g",
 		sweepName(sc.opt.SweepID), state, order, stats.Candidates, stats.PrunedCandidates, stats.Cells, stats.ResumedCells,
-		stats.AbandonedRestarts, stats.SkippedRestarts, sc.inc.get())
+		stats.AbandonedRestarts, sc.inc.get())
 	if stats.Racing {
 		for _, r := range stats.Rungs {
 			sc.ses.logf("dse: sweep %s rung %d (budget %d): %d candidates, %d promoted",

@@ -194,41 +194,6 @@ func TestAbandonedCellPrunesCandidate(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSweepCountsSkippedRestarts: patience savings must surface in
-// the sweep stats, and a patience wide enough to never fire must leave the
-// sweep bit-identical to the fixed schedule.
-func TestAdaptiveSweepCountsSkippedRestarts(t *testing.T) {
-	cands := testCands()
-	models := []*dnn.Graph{testCNN, testTF}
-
-	fixed := testOptions()
-	fixed.Restarts = 4
-
-	wide := fixed
-	wide.Patience = 4 // can never fire: bit-identical, same fingerprint
-	if optsFingerprint(fixed) != optsFingerprint(wide) {
-		t.Fatal("inactive patience changed the options fingerprint")
-	}
-	resultsEqual(t, Run(cands, models, fixed), Run(cands, models, wide), "wide patience")
-
-	adaptive := fixed
-	adaptive.Patience = 1
-	if optsFingerprint(fixed) == optsFingerprint(adaptive) {
-		t.Fatal("active patience must change the options fingerprint")
-	}
-	ses := NewSession()
-	if Best(ses.Run(cands, models, adaptive)) == nil {
-		t.Fatal("no feasible candidate")
-	}
-	st := ses.LastSweepStats()
-	if st.SkippedRestarts <= 0 {
-		t.Errorf("adaptive sweep skipped %d restarts, want > 0", st.SkippedRestarts)
-	}
-	if st.SkippedRestarts >= 3*len(cands)*len(models) {
-		t.Errorf("skipped %d restarts, more than the %d that exist", st.SkippedRestarts, 3*len(cands)*len(models))
-	}
-}
-
 // TestSweepStatsTrajectory: every incumbent improvement lands in the
 // trajectory in decreasing-objective order, ending at the best result.
 func TestSweepStatsTrajectory(t *testing.T) {
@@ -326,22 +291,6 @@ func TestAbandonedErrorNotInfeasible(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "1/4") {
 		t.Errorf("unexpected message: %v", err)
-	}
-}
-
-// TestFingerprintPatienceNotAliasedWithBatchUnits: the active-patience word
-// must be unambiguous against the variable-length BatchUnits tail, or two
-// different option sets could share checkpoint cells.
-func TestFingerprintPatienceNotAliasedWithBatchUnits(t *testing.T) {
-	a := testOptions()
-	a.Restarts = 16
-	a.BatchUnits = []int{1, 2, 4, 8}
-	b := testOptions()
-	b.Restarts = 16
-	b.BatchUnits = []int{1, 2, 4}
-	b.Patience = 8
-	if optsFingerprint(a) == optsFingerprint(b) {
-		t.Fatal("BatchUnits tail aliases the active patience word")
 	}
 }
 
@@ -480,7 +429,7 @@ func TestPartialCheckpointBoundPrunes(t *testing.T) {
 // TestInLoopAbandonBitIdenticalWhenNeverDominated: the in-loop hook is
 // active on every sweep with pruning, so a workload where nothing is ever
 // dominated must produce bit-identical results and identical SA iteration
-// counts with the hook on (default), on with a custom stride, and off.
+// counts with the hook on and off.
 func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 	cands := testCands()
 	models := []*dnn.Graph{testCNN, testTF}
@@ -488,30 +437,28 @@ func TestInLoopAbandonBitIdenticalWhenNeverDominated(t *testing.T) {
 	opt.Prune = true
 	opt.Restarts = 2
 
-	run := func(abandonEvery int) ([]CandidateResult, SweepStats) {
+	run := func(inLoop bool) ([]CandidateResult, SweepStats) {
 		o := opt
-		o.AbandonEvery = abandonEvery
+		o.betweenRestartsOnly = !inLoop
 		ses := NewSession()
 		rs := ses.Run(cands, models, o)
 		return rs, ses.LastSweepStats()
 	}
 
-	off, offSt := run(-1)
+	off, offSt := run(false)
 	for i := range off {
 		if off[i].Pruned {
 			t.Fatalf("%s pruned; this workload must have no dominated candidate", off[i].Cfg.Name)
 		}
 	}
-	def, defSt := run(0)
-	custom, customSt := run(5)
-	resultsEqual(t, off, def, "in-loop default vs off")
-	resultsEqual(t, off, custom, "in-loop stride-5 vs off")
+	on, onSt := run(true)
+	resultsEqual(t, off, on, "in-loop on vs off")
 	if offSt.SAIterations == 0 {
 		t.Fatal("stats recorded no SA iterations")
 	}
-	if defSt.SAIterations != offSt.SAIterations || customSt.SAIterations != offSt.SAIterations {
-		t.Errorf("never-firing hook changed SA iteration counts: off=%d def=%d custom=%d",
-			offSt.SAIterations, defSt.SAIterations, customSt.SAIterations)
+	if onSt.SAIterations != offSt.SAIterations {
+		t.Errorf("never-firing hook changed SA iteration counts: off=%d on=%d",
+			offSt.SAIterations, onSt.SAIterations)
 	}
 }
 
@@ -543,7 +490,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	orig := mapModelFn
 	defer func() { mapModelFn = orig }()
 
-	run := func(abandonEvery int) (*CandidateResult, SweepStats) {
+	run := func(inLoop bool) (*CandidateResult, SweepStats) {
 		var weakStarted atomic.Int32
 		strongDone := make(chan struct{})
 		mapModelFn = func(ev *eval.Evaluator, cfg *arch.Config, g *dnn.Graph, o Options, stop func() bool, from, to int) (*MapResult, error) {
@@ -567,7 +514,7 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 			return orig(ev, cfg, g, o, stop, from, to)
 		}
 		o := opt
-		o.AbandonEvery = abandonEvery
+		o.betweenRestartsOnly = !inLoop
 		ses := NewSession()
 		best := Best(ses.Run(cands, models, o))
 		if best == nil {
@@ -576,8 +523,8 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 		return best, ses.LastSweepStats()
 	}
 
-	bestOff, offSt := run(-1)
-	bestOn, onSt := run(8)
+	bestOff, offSt := run(false)
+	bestOn, onSt := run(true)
 	if bestOn.Cfg.Name != bestOff.Cfg.Name || bestOn.Obj != bestOff.Obj {
 		t.Fatalf("in-loop abandonment changed the winner: %s (%g) vs %s (%g)",
 			bestOn.Cfg.Name, bestOn.Obj, bestOff.Cfg.Name, bestOff.Obj)

@@ -174,8 +174,7 @@ func (s *Session) SettledCells(cands []arch.Config, models []*dnn.Graph, opt Opt
 
 // LastSweepStats returns the scheduler's observability record of the most
 // recent Run/JointRun sweep: dispatch order, pruned candidates, restarts
-// saved by the live incumbent and by portfolio patience, and the incumbent
-// trajectory.
+// saved by the live incumbent, and the incumbent trajectory.
 func (s *Session) LastSweepStats() SweepStats {
 	s.sweepMu.Lock()
 	defer s.sweepMu.Unlock()
@@ -246,10 +245,10 @@ func (s *Session) Run(cands []arch.Config, models []*dnn.Graph, opt Options) []C
 // RunContext is Run with cancellation and per-sweep stats. When ctx is
 // canceled mid-sweep the remaining (candidate, model) cells fail fast with
 // an error wrapping ctx.Err() (in-flight SA portfolios abandon between
-// restarts and, unless Options.AbandonEvery disables the in-loop check,
-// mid-anneal), already-settled cells stay checkpointed, and the partial
-// results are returned together with a non-nil error — so a canceled sweep
-// can be checkpointed and resumed without recomputing its completed cells.
+// restarts and mid-anneal), already-settled cells stay checkpointed, and
+// the partial results are returned together with a non-nil error — so a
+// canceled sweep can be checkpointed and resumed without recomputing its
+// completed cells.
 // The returned SweepStats belongs to this sweep, which is the race-free way
 // to read stats when several sweeps share the session.
 func (s *Session) RunContext(ctx context.Context, cands []arch.Config, models []*dnn.Graph, opt Options) ([]CandidateResult, SweepStats, error) {
@@ -343,9 +342,7 @@ func (s *Session) runCell(cfg *arch.Config, g *dnn.Graph, opt Options, key strin
 // then folds the window with the stored prefix exactly as one contiguous
 // portfolio would — so the widened cell is bit-identical to a from-scratch
 // target-wide run, minus the restarts the checkpoint already paid for.
-// Extension only happens for width-annotated records under a non-adaptive
-// schedule: patience sweeps and legacy (width 0) records always restore,
-// preserving their historical semantics.
+// Legacy records without a width annotation (0) always restore.
 func (s *Session) runCellTarget(cfg *arch.Config, g *dnn.Graph, opt Options, key string, stop func() bool, target int) pairOutcome {
 	if target < 1 {
 		target = 1
@@ -353,7 +350,7 @@ func (s *Session) runCellTarget(cfg *arch.Config, g *dnn.Graph, opt Options, key
 	from := 0
 	var prior *cellRecord
 	if rec, ok := s.peekCell(key); ok {
-		if activePatience(opt) != 0 || rec.Restarts <= 0 || rec.Restarts >= target {
+		if rec.Restarts <= 0 || rec.Restarts >= target {
 			s.resumed.Add(1)
 			p := rec.outcome()
 			p.restored = true
@@ -362,13 +359,6 @@ func (s *Session) runCellTarget(cfg *arch.Config, g *dnn.Graph, opt Options, key
 		from = rec.Restarts
 		r := rec
 		prior = &r
-	}
-	// The stored width annotation: patience portfolios stop on a
-	// data-dependent streak, so their settled width says nothing about a
-	// wider run — record 0 (width-unknown, restore-only) for them.
-	width := target
-	if activePatience(opt) != 0 {
-		width = 0
 	}
 	policy := opt.Retry.withDefaults()
 	var out pairOutcome
@@ -409,13 +399,12 @@ func (s *Session) runCellTarget(cfg *arch.Config, g *dnn.Graph, opt Options, key
 		if mr != nil {
 			// Window-run accounting, captured before the prior fold can
 			// replace mr with the checkpointed summary (which did no work).
-			out.skippedRestarts += mr.SkippedRestarts
 			out.saIterations += mr.SAIterations
 		}
 		if prior != nil {
 			mr, err = foldPriorCell(prior, mr, err, target)
 		}
-		s.storeCell(key, g.Name, mr, err, width)
+		s.storeCell(key, g.Name, mr, err, target)
 		out.mr, out.err = mr, err
 		return out
 	}
@@ -658,9 +647,9 @@ func (s *Session) peekCell(key string) (cellRecord, bool) {
 // storeCell records a settled cell. width annotates an infeasible verdict
 // with the portfolio width that established it, so racing rungs and widened
 // sweeps can re-enter and keep searching instead of trusting a narrow
-// verdict forever; 0 (patience runs, legacy checkpoints) means
-// width-unknown and the record restores at any width. Feasible cells carry
-// their own cumulative width in mr.Restarts.
+// verdict forever. Feasible cells carry their own cumulative width in
+// mr.Restarts. Only legacy checkpoint records carry width 0
+// (width-unknown); they restore at any width.
 func (s *Session) storeCell(key, model string, mr *MapResult, err error, width int) {
 	rec := cellRecord{Model: model}
 	switch {
@@ -763,7 +752,6 @@ var optsFingerprintExclusions = map[string]string{
 	"Workers":       "parallelism only; any worker count computes identical cells",
 	"Prune":         "pruning skips whole cells, it never changes a computed cell",
 	"Order":         "dispatch order only; checkpoints must survive reordering",
-	"AbandonEvery":  "abandonment stride only gates early exits against the live incumbent; completed cells are unchanged",
 	"Bound":         "bound formulation feeds pruning/abandonment thresholds, not the mapping itself",
 	"BoundParams":   "evaluator params for bound computation; never touch a cell's SA search",
 	"CacheDir":      "storage location, not content; moving the cache must not invalidate it",
@@ -774,32 +762,26 @@ var optsFingerprintExclusions = map[string]string{
 	"CellTimeout":   "wall-clock guard producing typed failures, never different values",
 	"FaultInjector": "test-only chaos hook; production sweeps run with none installed",
 	"Racing":        "re-allocates restart budget across candidates; every settled cell is a prefix of the same derived-seed portfolio, so racing and uniform sweeps must share cells",
-	"RacingKeep":    "racing promotion fraction; like Racing it only schedules rung widths, never a cell's seeds",
 	"OnRung":        "observer callback; rung notification cannot alter results",
 	"Incumbent":     "external pruning signal; like Prune it only skips whole cells, it never changes a computed cell",
+
+	"betweenRestartsOnly": "test seam disabling in-loop abandonment, which only gates early exits against the live incumbent; completed cells are unchanged",
 }
 
 // optsFingerprint hashes every Options field the mapping result depends on.
 // Alpha is deliberately excluded: it only ranks candidates, it never changes
 // a (candidate, model) mapping, so checkpoints survive re-ranking sweeps.
 // Order and SweepID are likewise excluded (one only schedules, the other
-// only labels — a renamed sweep must keep hitting its old cells), and
-// Patience is folded in only when it can actually change a portfolio
-// (0 < Patience < restarts), so pre-adaptive checkpoints keep matching
-// non-adaptive sweeps. The full field-by-field accounting lives in
+// only labels — a renamed sweep must keep hitting its old cells). The full field-by-field accounting lives in
 // optsFingerprintExclusions and is enforced by the fingerprintcomplete
 // analyzer.
 //
 //gemini:fingerprint-of Options
 func optsFingerprint(opt Options) uint64 {
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	h := uint64(fnvOffset64)
 	for _, v := range [...]uint64{
 		uint64(int64(opt.Batch)), uint64(int64(opt.SAIterations)),
-		uint64(int64(restarts)), uint64(opt.Seed),
+		uint64(int64(effectiveRestarts(opt))), uint64(opt.Seed),
 		math.Float64bits(opt.Objective.Beta), math.Float64bits(opt.Objective.Gamma),
 		uint64(int64(opt.MaxGroupLayers)),
 	} {
@@ -808,29 +790,7 @@ func optsFingerprint(opt Options) uint64 {
 	for _, bu := range opt.BatchUnits {
 		h = fnvWord(h, uint64(int64(bu)))
 	}
-	if p := activePatience(opt); p > 0 {
-		// The sentinel word terminates the variable-length BatchUnits list,
-		// so {BatchUnits: [1,2,4], Patience: 8} can never alias
-		// {BatchUnits: [1,2,4,8]}: ^0 is not a representable batch unit
-		// (batch units are positive ints).
-		h = fnvWord(h, ^uint64(0))
-		h = fnvWord(h, uint64(int64(p)))
-	}
 	return h
-}
-
-// activePatience normalizes Options.Patience to its effective value: 0
-// whenever the portfolio cannot stop early (non-positive patience, or
-// patience wide enough that the consecutive-miss streak can never reach it).
-func activePatience(opt Options) int {
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	if opt.Patience <= 0 || opt.Patience >= restarts {
-		return 0
-	}
-	return opt.Patience
 }
 
 // cellKey names one (candidate, model, options) cell in the checkpoint.

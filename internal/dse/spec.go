@@ -131,9 +131,6 @@ type Spec struct {
 	SAIterations int `json:"sa_iterations,omitempty"`
 	// Restarts is the SA portfolio width per cell (default 1).
 	Restarts int `json:"restarts,omitempty"`
-	// Patience stops a cell's portfolio after this many consecutive
-	// non-improving restarts (0 = fixed schedule).
-	Patience int `json:"patience,omitempty"`
 	// Workers bounds sweep parallelism (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Seed is the base SA seed (default 1).
@@ -156,12 +153,6 @@ type Spec struct {
 	// Racing allocates restart budget by successive halving across
 	// candidates instead of running every cell at the full width.
 	Racing bool `json:"racing,omitempty"`
-	// RacingKeep is the fraction of candidates promoted at each racing rung,
-	// strictly inside (0, 1); 0 means the default 1/2.
-	RacingKeep float64 `json:"racing_keep,omitempty"`
-	// AbandonEvery is the in-loop abandonment stride (0 = engine default,
-	// negative = between-restart checks only).
-	AbandonEvery int `json:"abandon_every,omitempty"`
 	// Retry bounds transient-failure retries per (candidate, model) cell
 	// (nil = no retry, the pre-hardening behavior).
 	Retry *RetrySpec `json:"retry,omitempty"`
@@ -279,16 +270,13 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("dse: unsupported bound %q (want %q, %q or %q)",
 			s.Bound, BoundCompulsory, BoundCut, BoundComputeDRAM)
 	}
-	if s.RacingKeep != 0 && (s.RacingKeep <= 0 || s.RacingKeep >= 1) {
-		return fmt.Errorf("dse: spec racing_keep = %v, want inside (0, 1)", s.RacingKeep)
-	}
 	for _, c := range [...]struct {
 		name string
 		v    int
 	}{
 		{"batch", s.Batch}, {"sa_iterations", s.SAIterations},
-		{"restarts", s.Restarts}, {"patience", s.Patience},
-		{"workers", s.Workers}, {"max_group_layers", s.MaxGroupLayers},
+		{"restarts", s.Restarts}, {"workers", s.Workers},
+		{"max_group_layers", s.MaxGroupLayers},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("dse: spec %s = %d, want >= 0", c.name, c.v)
@@ -357,7 +345,6 @@ func (s *Spec) Options() Options {
 	if s.Restarts > 0 {
 		opt.Restarts = s.Restarts
 	}
-	opt.Patience = s.Patience
 	opt.Workers = s.Workers
 	if s.Seed > 0 {
 		opt.Seed = s.Seed
@@ -377,8 +364,6 @@ func (s *Spec) Options() Options {
 		opt.Bound = BoundLevel(s.Bound)
 	}
 	opt.Racing = s.Racing
-	opt.RacingKeep = s.RacingKeep
-	opt.AbandonEvery = s.AbandonEvery
 	if r := s.Retry; r != nil {
 		opt.Retry = RetryPolicy{
 			Max:       r.Max,

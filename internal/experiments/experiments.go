@@ -32,12 +32,9 @@ type Options struct {
 	Workers      int
 	Seed         int64
 
-	// Restarts widens the per-cell SA portfolio; Patience stops a cell's
-	// portfolio after that many consecutive non-improving restarts (0 =
-	// fixed schedule). Order overrides the sweep dispatch order ("" keeps
-	// the DSE default, ascending lower bound).
+	// Restarts widens the per-cell SA portfolio. Order overrides the sweep
+	// dispatch order ("" keeps the DSE default, ascending lower bound).
 	Restarts int
-	Patience int
 	Order    dse.SweepOrder
 
 	// Session, when set, runs every figure's sweeps and mappings through
@@ -169,7 +166,6 @@ func (o Options) dseOptions(batch int) dse.Options {
 	if o.Restarts > 0 {
 		d.Restarts = o.Restarts
 	}
-	d.Patience = o.Patience
 	if o.Order != "" {
 		d.Order = o.Order
 	}

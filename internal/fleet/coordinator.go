@@ -261,9 +261,17 @@ func (c *Coordinator) reapLocked(now time.Time) {
 	}
 }
 
+// submitBodyLimit bounds a POST /sweeps request body, as the sweep
+// service bounds POST /sweep.
+const submitBodyLimit = 1 << 20
+
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Decode as strictly as POST /sweep: a misspelled or removed spec field
+	// is a 400, never silently dropped.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, submitBodyLimit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}

@@ -26,6 +26,36 @@ func postRaw(t *testing.T, url, body string) int {
 	return resp.StatusCode
 }
 
+// TestSubmitDecodesStrictly: POST /sweeps decodes its body exactly as the
+// sweep service's POST /sweep does. An unknown field, top-level or inside
+// the spec, is a 400 instead of being silently dropped, and a body past the
+// 1 MiB limit is rejected. No rejected submit registers a sweep.
+func TestSubmitDecodesStrictly(t *testing.T) {
+	coord := NewCoordinator(CoordinatorConfig{})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+
+	// Each case carries its own sweep id, so a lenient decoder would accept
+	// every one of them (201) rather than collide on a duplicate id.
+	for _, c := range []struct{ name, body string }{
+		{"unknown spec field", `{"spec": ` + strings.Replace(testSpecJSON("strict-a"),
+			`"models"`, `"modles": ["tinycnn"], "models"`, 1) + `, "shards": 1}`},
+		{"unknown top-level field", `{"spec": ` + testSpecJSON("strict-b") + `, "shards": 1, "shard_count": 2}`},
+		{"oversize body", `{"spec": ` + testSpecJSON("strict-c") + `,` +
+			strings.Repeat(" ", submitBodyLimit) + `"shards": 1}`},
+	} {
+		if code := postRaw(t, srv.URL+"/sweeps", c.body); code < 400 || code >= 500 {
+			t.Errorf("%s: answered %d, want 4xx", c.name, code)
+		}
+	}
+	if n := coord.Health().Sweeps; n != 0 {
+		t.Errorf("rejected submits registered %d sweeps", n)
+	}
+	if code := postRaw(t, srv.URL+"/sweeps", `{"spec": `+testSpecJSON("strict-d")+`, "shards": 1}`); code != http.StatusCreated {
+		t.Fatalf("well-formed submit answered %d", code)
+	}
+}
+
 // TestWireValidate drives every wire message's Validate through its error
 // branches directly — the handler-path tests only see valid shapes.
 func TestWireValidate(t *testing.T) {

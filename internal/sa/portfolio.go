@@ -25,7 +25,7 @@ type Portfolio struct {
 	BestRestart int
 	// Costs records every restart's best cost, in restart order. Its length
 	// is the number of restarts that actually ran; it is shorter than
-	// Planned when patience or an abandon callback stopped the portfolio.
+	// Planned when an abandon callback stopped the portfolio.
 	Costs []float64
 	// Planned is the requested portfolio width.
 	Planned int
@@ -50,10 +50,6 @@ type Portfolio struct {
 	Panic *PanicInfo
 }
 
-// Skipped returns how many planned restarts never ran (a restart abandoned
-// mid-anneal counts: it never completed).
-func (p Portfolio) Skipped() int { return p.Planned - len(p.Costs) }
-
 // RestartSeed derives the seed of restart i from the base seed. Restart 0
 // uses the base seed itself, so a one-restart portfolio is bit-identical to
 // a plain Optimize call.
@@ -62,14 +58,9 @@ func RestartSeed(base int64, i int) int64 {
 }
 
 // AdaptiveOptions configures early stopping of a multi-start portfolio.
-// The zero value disables both mechanisms, making MultiStartAdaptive
-// bit-identical to MultiStart.
+// The zero value never stops early, making MultiStartAdaptive bit-identical
+// to MultiStart.
 type AdaptiveOptions struct {
-	// Patience stops the portfolio after this many consecutive restarts
-	// that failed to improve the best cost (<= 0: never stop early).
-	// Restart 0 always runs, and any Patience >= restarts can never
-	// trigger, so such portfolios are bit-identical to the fixed schedule.
-	Patience int
 	// Stop, when non-nil, is polled before every restart after the first;
 	// returning true abandons the remaining restarts immediately. The DSE
 	// scheduler uses it to re-read the live pruning incumbent between
@@ -89,13 +80,11 @@ func MultiStart(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts in
 	return MultiStartAdaptive(input, ev, opt, restarts, AdaptiveOptions{})
 }
 
-// MultiStartAdaptive is MultiStart with an adaptive schedule: restarts run
-// in the same deterministic order with the same derived seeds, but the
-// portfolio stops early after ao.Patience consecutive non-improving seeds,
-// and ao.Stop can abandon it between restarts. The fold over the restarts
-// that do run is identical to MultiStart's, so a portfolio that never stops
-// early (Patience <= 0 or >= restarts, Stop never firing) is bit-identical
-// to the fixed schedule.
+// MultiStartAdaptive is MultiStart with an abandonable schedule: restarts
+// run in the same deterministic order with the same derived seeds, but
+// ao.Stop can abandon the portfolio between restarts. The fold over the
+// restarts that do run is identical to MultiStart's, so a portfolio whose
+// Stop never fires is bit-identical to the fixed schedule.
 func MultiStartAdaptive(input *core.Scheme, ev *eval.Evaluator, opt Options, restarts int, ao AdaptiveOptions) Portfolio {
 	if restarts < 1 {
 		restarts = 1
@@ -111,8 +100,7 @@ func MultiStartAdaptive(input *core.Scheme, ev *eval.Evaluator, opt Options, res
 // [0, to) run. BestRestart is the absolute restart index. ao.Stop is polled
 // before every restart except restart 0 of the full portfolio (a window with
 // from > 0 resumes mid-portfolio, where the poll already happened between
-// restarts); ao.Patience counts non-improving restarts within the window
-// only. Requires 0 <= from < to; out-of-range arguments are clamped to the
+// restarts). Requires 0 <= from < to; out-of-range arguments are clamped to the
 // smallest valid window.
 func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, to int, ao AdaptiveOptions) Portfolio {
 	if from < 0 {
@@ -122,7 +110,6 @@ func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, 
 		to = from + 1
 	}
 	p := Portfolio{Costs: make([]float64, 0, to-from), Planned: to - from}
-	streak := 0
 	for i := from; i < to; i++ {
 		if (i > 0) && ao.Stop != nil && ao.Stop() {
 			p.Abandoned = true
@@ -147,12 +134,6 @@ func MultiStartRange(input *core.Scheme, ev *eval.Evaluator, opt Options, from, 
 		if i == from || BetterCost(r.Cost, p.Best.Cost) {
 			p.Best = r
 			p.BestRestart = i
-			streak = 0
-		} else {
-			streak++
-		}
-		if ao.Patience > 0 && streak >= ao.Patience {
-			break
 		}
 	}
 	return p

@@ -151,24 +151,34 @@ func TestRacingLiveProgress(t *testing.T) {
 	}
 }
 
-// TestRacingKeepRejected pins the 400 envelope for a racing_keep outside
-// (0, 1): the spec is rejected before any sweep registers.
-func TestRacingKeepRejected(t *testing.T) {
-	_, hs := newTestServer(t, Config{})
-	for _, keep := range []string{"1.5", "-0.25", "1", "0.0001e6"} {
-		body := `{"space":{"tops":72},"models":["tinycnn"],"racing":true,"racing_keep":` + keep + `}`
-		resp, err := http.Post(hs.URL+"/sweep", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+// TestRemovedKnobsRejected pins the 400 envelope for the removed restart
+// budget options: patience, racing_keep and abandon_every are unknown
+// fields now, rejected by name on both POST /sweep and the fleet submit
+// endpoint before any sweep registers.
+func TestRemovedKnobsRejected(t *testing.T) {
+	s, hs := newTestServer(t, Config{})
+	for _, field := range []string{"patience", "racing_keep", "abandon_every"} {
+		spec := `{"space":{"tops":72},"models":["tinycnn"],"racing":true,"` + field + `":1}`
+		for _, ep := range []struct{ path, body string }{
+			{"/sweep", spec},
+			{"/fleet/sweeps", `{"spec":` + spec + `,"shards":1}`},
+		} {
+			resp, err := http.Post(hs.URL+ep.path, "application/json", strings.NewReader(ep.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eb errorBody
+			derr := json.NewDecoder(resp.Body).Decode(&eb)
+			resp.Body.Close()
+			if derr != nil {
+				t.Fatal(derr)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, field) {
+				t.Errorf("%s with %s: code=%d msg=%q, want 400 naming %s", ep.path, field, resp.StatusCode, eb.Error, field)
+			}
 		}
-		var eb errorBody
-		derr := json.NewDecoder(resp.Body).Decode(&eb)
-		resp.Body.Close()
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "racing_keep") {
-			t.Errorf("racing_keep=%s: code=%d msg=%q, want 400 naming racing_keep", keep, resp.StatusCode, eb.Error)
-		}
+	}
+	if h := s.fleet.Health(); h.Sweeps != 0 {
+		t.Errorf("rejected fleet submits registered %d sweeps", h.Sweeps)
 	}
 }

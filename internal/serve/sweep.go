@@ -127,8 +127,6 @@ type StatsSummary struct {
 	PrunedCandidates int `json:"pruned_candidates"`
 	// AbandonedRestarts counts SA restarts cut off by the live incumbent.
 	AbandonedRestarts int `json:"abandoned_restarts"`
-	// SkippedRestarts counts SA restarts saved by portfolio patience.
-	SkippedRestarts int `json:"skipped_restarts"`
 	// Racing reports the sweep allocated restarts by successive halving;
 	// Rungs then records every completed racing rung in order.
 	Racing bool          `json:"racing,omitempty"`
@@ -184,7 +182,6 @@ func summarizeStats(st dse.SweepStats) *StatsSummary {
 		ResumedCells:      st.ResumedCells,
 		PrunedCandidates:  st.PrunedCandidates,
 		AbandonedRestarts: st.AbandonedRestarts,
-		SkippedRestarts:   st.SkippedRestarts,
 		Racing:            st.Racing,
 		SeededIncumbent:   finite(st.SeededIncumbent),
 
@@ -558,8 +555,6 @@ func readStatusFile(path string) (SweepStatus, error) {
 }
 
 // loadStatuses restores the finished-sweep history from DataDir at startup.
-// A sweep recorded as running died with its server: it is restored as
-// canceled (its checkpoint survives, so re-POSTing the spec resumes it).
 // Damaged records are skipped — history is a convenience, never worth
 // failing startup over.
 func (s *Server) loadStatuses() {
@@ -576,10 +571,6 @@ func (s *Server) loadStatuses() {
 		if err != nil {
 			s.logf("serve: skipping damaged status record %s: %v", p, err)
 			continue
-		}
-		if st.State == StateRunning || st.State == StateQueued {
-			st.State = StateCanceled
-			st.Error = "server restarted while the sweep was running"
 		}
 		sts = append(sts, st)
 	}
@@ -603,8 +594,14 @@ func (s *Server) loadStatuses() {
 }
 
 // restoredSweep rebuilds a sweep record from its persisted status. The
-// cancel hook is a no-op: nothing is running.
+// cancel hook is a no-op: nothing is running. A sweep recorded as running
+// or queued died with its server: it is restored as canceled (its
+// checkpoint survives, so re-POSTing the spec resumes it).
 func restoredSweep(s *Server, st SweepStatus) *sweep {
+	if st.State == StateRunning || st.State == StateQueued {
+		st.State = StateCanceled
+		st.Error = "server restarted while the sweep was running"
+	}
 	sw := &sweep{
 		id:       st.ID,
 		server:   s,

@@ -15,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-10x}"
-PATTERN='BenchmarkSAOptimize$|BenchmarkEvaluateGroup$|BenchmarkDSESessionSweepCold$|BenchmarkDSESessionSweepWarm$|BenchmarkDSESweepRestarts1$|BenchmarkDSESweepRestarts4$|BenchmarkDSESweepGridFixed$|BenchmarkDSESweepOrdered$|BenchmarkDSESweepAdaptive$|BenchmarkDSESweepPR3Bound$|BenchmarkDSESweepTightBound$|BenchmarkDSESweepHardened$|BenchmarkDSESweepInLoopAbandon$|BenchmarkDSESweepDiskWarm$|BenchmarkDSESweepRacing$|BenchmarkDSESweepCutBound$|BenchmarkFleetSweep$'
+PATTERN='BenchmarkSAOptimize$|BenchmarkEvaluateGroup$|BenchmarkDSESessionSweepCold$|BenchmarkDSESessionSweepWarm$|BenchmarkDSESweepRestarts1$|BenchmarkDSESweepRestarts4$|BenchmarkDSESweepGridFixed$|BenchmarkDSESweepOrdered$|BenchmarkDSESweepPR3Bound$|BenchmarkDSESweepTightBound$|BenchmarkDSESweepHardened$|BenchmarkDSESweepInLoopAbandon$|BenchmarkDSESweepDiskWarm$|BenchmarkDSESweepRacing$|BenchmarkDSESweepCutBound$|BenchmarkFleetSweep$'
 OUT="$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime="$BENCHTIME" .)"
 
 echo "$OUT" >&2
@@ -26,7 +26,7 @@ BEGIN { print "{"; first = 1 }
 	name = $1
 	sub(/-[0-9]+$/, "", name)
 	ns = ""; bytes = ""; allocs = ""
-	pruned = ""; cpruned = ""; abandoned = ""; skipped = ""
+	pruned = ""; cpruned = ""; abandoned = ""
 	saiters = ""; usaiters = ""; ssaiters = ""; boundary = ""; diskhits = ""
 	onew = ""; twow = ""
 	for (i = 2; i < NF; i++) {
@@ -36,7 +36,6 @@ BEGIN { print "{"; first = 1 }
 		if ($(i+1) == "pruned_candidates") pruned = $i
 		if ($(i+1) == "compulsory_pruned_candidates") cpruned = $i
 		if ($(i+1) == "abandoned_restarts") abandoned = $i
-		if ($(i+1) == "skipped_restarts") skipped = $i
 		if ($(i+1) == "sa_iterations") saiters = $i
 		if ($(i+1) == "uniform_sa_iterations") usaiters = $i
 		if ($(i+1) == "solo_sa_iterations") ssaiters = $i
@@ -52,7 +51,6 @@ BEGIN { print "{"; first = 1 }
 	if (pruned != "") printf ", \"pruned_candidates\": %s", pruned
 	if (cpruned != "") printf ", \"compulsory_pruned_candidates\": %s", cpruned
 	if (abandoned != "") printf ", \"abandoned_restarts\": %s", abandoned
-	if (skipped != "") printf ", \"skipped_restarts\": %s", skipped
 	if (saiters != "") printf ", \"sa_iterations\": %s", saiters
 	if (usaiters != "") printf ", \"uniform_sa_iterations\": %s", usaiters
 	if (ssaiters != "") printf ", \"solo_sa_iterations\": %s", ssaiters
