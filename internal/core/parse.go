@@ -79,6 +79,8 @@ type Analysis struct {
 	inBytes   []int64 // indexed by CoreID
 	needs     []needEntry
 	klists    []krEntry
+	srcEnd    []int32 // sortActFlows bucket bounds, indexed by CoreID
+	flowBuf   []CoreFlow
 }
 
 // needEntry groups the consumer cores that fetch one identical input region
@@ -338,55 +340,114 @@ func growNeed(buf []needEntry, region dnn.EdgeRegion) []needEntry {
 // summation order (and therefore SA accept/reject decisions) could vary
 // between structurally identical schemes built along different paths.
 func (an *Analysis) sortFlows() {
-	coreCmp := func(a, b []arch.CoreID) int {
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				if a[i] < b[i] {
-					return -1
-				}
-				return 1
-			}
+	an.sortActFlows()
+	sortDRAMFlows(an.ActDRAM)
+	sortDRAMFlows(an.WeightFlows)
+}
+
+// sortDRAMFlows orders flows by compareDRAMFlow. The analysis emits DRAM
+// flows layer by layer, so while the layers arrive in ascending runs each
+// run is sorted on its own; a layer out of order falls back to sorting the
+// whole slice. Either way the result is the single-sort sequence.
+func sortDRAMFlows(flows []DRAMFlow) {
+	lo := 0
+	for i := 1; i <= len(flows); i++ {
+		if i < len(flows) && flows[i].Layer == flows[lo].Layer {
+			continue
 		}
-		return len(a) - len(b)
+		if i < len(flows) && flows[i].Layer < flows[lo].Layer {
+			slices.SortFunc(flows, compareDRAMFlow)
+			return
+		}
+		if i-lo > 1 {
+			slices.SortFunc(flows[lo:i], compareDRAMFlow)
+		}
+		lo = i
 	}
-	slices.SortFunc(an.ActFlows, func(x, y CoreFlow) int {
-		if x.Src != y.Src {
-			if x.Src < y.Src {
-				return -1
-			}
-			return 1
-		}
-		if x.Bytes != y.Bytes {
-			if x.Bytes < y.Bytes {
-				return -1
-			}
-			return 1
-		}
-		return coreCmp(x.Dsts, y.Dsts)
-	})
-	dramCmp := func(x, y DRAMFlow) int {
-		if x.Layer != y.Layer {
-			return x.Layer - y.Layer
-		}
-		if x.Ctrl != y.Ctrl {
-			return x.Ctrl - y.Ctrl
-		}
-		if x.Write != y.Write {
-			if y.Write {
-				return -1
-			}
-			return 1
-		}
-		if x.Bytes != y.Bytes {
-			if x.Bytes < y.Bytes {
-				return -1
-			}
-			return 1
-		}
-		return coreCmp(x.Cores, y.Cores)
+}
+
+// sortActFlows orders ActFlows by (Src, Bytes, Dsts). A counting pass
+// buckets the flows by source core into flowBuf, then each bucket is sorted
+// on (Bytes, Dsts) alone. The order is total up to flows equal in every
+// field, so the result is the same sequence a single comparison sort gives.
+func (an *Analysis) sortActFlows() {
+	flows := an.ActFlows
+	if len(flows) < 2 {
+		return
 	}
-	slices.SortFunc(an.ActDRAM, dramCmp)
-	slices.SortFunc(an.WeightFlows, dramCmp)
+	end := resize(an.srcEnd, len(an.inBytes))
+	an.srcEnd = end
+	clear(end)
+	for _, f := range flows {
+		end[f.Src]++
+	}
+	// Prefix sums: end[c] becomes the start of bucket c, and the scatter
+	// below advances it to the bucket's end.
+	sum := int32(0)
+	for c, k := range end {
+		end[c] = sum
+		sum += k
+	}
+	buf := resize(an.flowBuf, len(flows))
+	for _, f := range flows {
+		buf[end[f.Src]] = f
+		end[f.Src]++
+	}
+	lo := int32(0)
+	for _, hi := range end {
+		if hi-lo > 1 {
+			slices.SortFunc(buf[lo:hi], compareFlowPayload)
+		}
+		lo = hi
+	}
+	an.ActFlows, an.flowBuf = buf, flows
+}
+
+// compareFlowPayload orders core flows of one source by (Bytes, Dsts).
+func compareFlowPayload(x, y CoreFlow) int {
+	if x.Bytes != y.Bytes {
+		if x.Bytes < y.Bytes {
+			return -1
+		}
+		return 1
+	}
+	return compareCores(x.Dsts, y.Dsts)
+}
+
+// compareDRAMFlow orders DRAM flows by (Layer, Ctrl, Write, Bytes, Cores).
+func compareDRAMFlow(x, y DRAMFlow) int {
+	if x.Layer != y.Layer {
+		return x.Layer - y.Layer
+	}
+	if x.Ctrl != y.Ctrl {
+		return x.Ctrl - y.Ctrl
+	}
+	if x.Write != y.Write {
+		if y.Write {
+			return -1
+		}
+		return 1
+	}
+	if x.Bytes != y.Bytes {
+		if x.Bytes < y.Bytes {
+			return -1
+		}
+		return 1
+	}
+	return compareCores(x.Cores, y.Cores)
+}
+
+// compareCores orders core lists lexicographically, a proper prefix first.
+func compareCores(a, b []arch.CoreID) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return len(a) - len(b)
 }
 
 // analyzeEdge infers the flows feeding layer l through one input edge.

@@ -84,16 +84,22 @@ func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, op
 		dp[i] = math.Inf(1)
 	}
 
+	// One stripe builder scores every segment; the segment's layer list and
+	// one-group scheme are reused across calls (the evaluator keeps
+	// neither).
+	sb := core.NewStripeBuilder(g, cfg)
+	seg := make([]int, 0, maxLen)
+	s := &core.Scheme{Graph: g, Batch: batch, Groups: make([]*core.LMS, 1)}
 	segCost := func(j, i, bu int) float64 {
-		layers := make([]int, 0, i-j)
+		seg = seg[:0]
 		for id := j; id < i; id++ {
-			layers = append(layers, id)
+			seg = append(seg, id)
 		}
-		lms, err := core.Stripes(g, layers, cfg, bu)
+		lms, err := sb.Stripes(seg, bu)
 		if err != nil {
 			return math.Inf(1)
 		}
-		s := &core.Scheme{Graph: g, Batch: batch, Groups: []*core.LMS{lms}}
+		s.Groups[0] = lms
 		gr := ev.EvaluateGroup(s, 0)
 		if !gr.Feasible {
 			return math.Inf(1)
@@ -145,7 +151,7 @@ func Partition(g *dnn.Graph, cfg *arch.Config, ev *eval.Evaluator, batch int, op
 		batchUnits = append([]int{ch[i].bu}, batchUnits...)
 		i = j
 	}
-	scheme, err := core.StripeScheme(g, cfg, groups, batchUnits, batch)
+	scheme, err := sb.Scheme(groups, batchUnits, batch)
 	if err != nil {
 		return nil, err
 	}

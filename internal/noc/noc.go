@@ -31,6 +31,10 @@ type Network struct {
 	cores    int
 	routeOff []int32
 	routeDat []int32
+
+	// Port table, precomputed at New: portCore[ctrl*cores+peer] is
+	// PortCore(ctrl, peer).
+	portCore []arch.CoreID
 }
 
 // New builds the network for a validated configuration.
@@ -73,6 +77,7 @@ func New(cfg *arch.Config) *Network {
 		}
 	}
 	n.buildRoutes()
+	n.buildPorts()
 	return n
 }
 
@@ -286,26 +291,43 @@ func (n *Network) Route(src, dst arch.CoreID) []int32 {
 	return n.routeDat[n.routeOff[k]:n.routeOff[k+1]]
 }
 
-// PortCore returns the edge router a DRAM controller uses to reach peer:
-// the attachment core of the controller closest (in rows) to the peer, so
-// controller traffic spreads over the controller's span.
-func (n *Network) PortCore(ctrl int, peer arch.CoreID) arch.CoreID {
-	p := n.ports[ctrl%len(n.ports)]
-	_, py := n.Cfg.CoreXY(peer)
-	best := p.Cores[0]
-	bestD := 1 << 30
-	for _, c := range p.Cores {
-		_, cy := n.Cfg.CoreXY(c)
-		d := cy - py
-		if d < 0 {
-			d = -d
-		}
-		if d < bestD {
-			bestD = d
-			best = c
+// buildPorts precomputes PortCore for every (controller, peer) pair: the
+// attachment core of the controller closest (in rows) to the peer, the
+// first in port order on ties.
+func (n *Network) buildPorts() {
+	n.portCore = make([]arch.CoreID, len(n.ports)*n.cores)
+	for ctrl, p := range n.ports {
+		for peer := 0; peer < n.cores; peer++ {
+			_, py := n.Cfg.CoreXY(arch.CoreID(peer))
+			best := p.Cores[0]
+			bestD := 1 << 30
+			for _, c := range p.Cores {
+				_, cy := n.Cfg.CoreXY(c)
+				d := cy - py
+				if d < 0 {
+					d = -d
+				}
+				if d < bestD {
+					bestD = d
+					best = c
+				}
+			}
+			n.portCore[ctrl*n.cores+peer] = best
 		}
 	}
-	return best
+}
+
+// PortCore returns the edge router a DRAM controller uses to reach peer:
+// the attachment core of the controller closest (in rows) to the peer, so
+// controller traffic spreads over the controller's span. Controller
+// indices wrap modulo Controllers().
+func (n *Network) PortCore(ctrl int, peer arch.CoreID) arch.CoreID {
+	return n.port(ctrl%len(n.ports), peer)
+}
+
+// port is PortCore for a controller index already in [0, Controllers()).
+func (n *Network) port(ctrl int, peer arch.CoreID) arch.CoreID {
+	return n.portCore[ctrl*n.cores+int(peer)]
 }
 
 // Controllers returns the number of DRAM controllers.
@@ -432,7 +454,7 @@ func (t *Traffic) dramReadMulticastOne(ctrl int, dsts []arch.CoreID, bytes float
 	t.DRAMRead[ctrl] += bytes
 	t.epoch++
 	for _, d := range dsts {
-		port := t.net.PortCore(ctrl, d)
+		port := t.net.port(ctrl, d)
 		for _, l := range t.net.Route(port, d) {
 			if t.visited[l] == t.epoch {
 				continue
@@ -460,7 +482,7 @@ func (t *Traffic) addDRAM(ctrl int, core arch.CoreID, bytes float64, read bool) 
 		return
 	}
 	ctrl %= t.net.Controllers()
-	port := t.net.PortCore(ctrl, core)
+	port := t.net.port(ctrl, core)
 	if read {
 		t.DRAMRead[ctrl] += bytes
 		t.addPath(t.net.Route(port, core), bytes)

@@ -21,7 +21,6 @@ func TestDominatedHookNeverFiringBitIdentical(t *testing.T) {
 
 	hooked := opt
 	polls := 0
-	hooked.CheckEvery = 8
 	hooked.Dominated = func(best float64) bool {
 		polls++
 		if best > plain.InitCost {
@@ -59,7 +58,6 @@ func TestDominatedHookStopsMidAnneal(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Iterations = 500
 	opt.Seed = 7
-	opt.CheckEvery = 16
 	fireAfter := 3
 	polls := 0
 	opt.Dominated = func(float64) bool {
@@ -71,7 +69,7 @@ func TestDominatedHookStopsMidAnneal(t *testing.T) {
 	if !r.Abandoned {
 		t.Fatal("firing hook did not abandon")
 	}
-	wantIters := (fireAfter + 1) * 16 // stops at the (fireAfter+1)-th poll
+	wantIters := (fireAfter + 1) * CheckEvery // stops at the (fireAfter+1)-th poll
 	if r.Attempted != wantIters {
 		t.Errorf("attempted %d iterations, want exactly %d (abandon on the poll boundary)", r.Attempted, wantIters)
 	}
@@ -88,7 +86,6 @@ func TestPortfolioPropagatesMidAnnealAbandon(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Iterations = 200
 	opt.Seed = 3
-	opt.CheckEvery = 16
 
 	full := MultiStart(s, eval.New(cfg), opt, 2)
 	if full.Abandoned || len(full.Costs) != 2 {
@@ -97,7 +94,7 @@ func TestPortfolioPropagatesMidAnnealAbandon(t *testing.T) {
 
 	// Fire during the second restart.
 	polls := 0
-	firstRestartPolls := opt.Iterations/opt.CheckEvery - 1
+	firstRestartPolls := opt.Iterations/CheckEvery - 1
 	hooked := opt
 	hooked.Dominated = func(float64) bool {
 		polls++

@@ -44,16 +44,12 @@ type Options struct {
 	// consumes no randomness and allocates nothing, so a hook that never
 	// fires leaves the search bit-identical to an unhooked run.
 	Dominated func(bestSoFar float64) bool
-	// CheckEvery is the Dominated polling stride in iterations
-	// (<= 0: every 32).
-	CheckEvery int
 }
 
-// defaultCheckEvery is the Dominated polling stride when CheckEvery is not
-// set: frequent enough that a dominated cell wastes at most a few dozen
-// group evaluations, rare enough to keep the atomic incumbent read off the
-// per-iteration path.
-const defaultCheckEvery = 32
+// CheckEvery is the Dominated polling stride in iterations: frequent enough
+// that a dominated cell wastes at most a few dozen group evaluations, rare
+// enough to keep the atomic incumbent read off the per-iteration path.
+const CheckEvery = 32
 
 // DefaultOptions returns the settings used by the experiments.
 func DefaultOptions() Options {
@@ -199,16 +195,11 @@ func Optimize(input *core.Scheme, ev *eval.Evaluator, opt Options) Result {
 	// dirty marks groups where s has drifted from the best snapshot.
 	dirty := make([]bool, n)
 
-	checkEvery := opt.CheckEvery
-	if checkEvery <= 0 {
-		checkEvery = defaultCheckEvery
-	}
-
 	for it := 0; it < opt.Iterations; it++ {
 		// In-loop abandonment: poll the Dominated hook on a fixed stride.
 		// The check reads no randomness and touches no search state, so runs
 		// where the hook never fires stay bit-identical to unhooked runs.
-		if opt.Dominated != nil && it != 0 && it%checkEvery == 0 && opt.Dominated(bestCost) {
+		if opt.Dominated != nil && it != 0 && it%CheckEvery == 0 && opt.Dominated(bestCost) {
 			res.Abandoned = true
 			break
 		}
