@@ -251,75 +251,6 @@ func BenchmarkDSESweepRestarts1(b *testing.B) { benchRestarts(b, 1) }
 // model) cell; the shared cache keeps the cost well under 4x restarts=1.
 func BenchmarkDSESweepRestarts4(b *testing.B) { benchRestarts(b, 4) }
 
-// --- Sweep scheduler benchmarks (BENCH_3): grid vs bound-ordered dispatch,
-// fixed vs adaptive SA portfolios, under bound pruning. ---
-
-// schedulerBench returns a pruning-friendly sweep: the three GArch72-class
-// variants of sweepBench plus five down-clocked (same monetary cost, 64-256x
-// lower peak throughput) candidates whose delay lower bound is hopeless
-// under MC*E*D once any full-speed candidate has finished. The weak
-// candidates come FIRST in grid order, so the naive schedule maps all of
-// them before the incumbent exists, while the bound-ordered schedule runs
-// the full-speed candidates first and prunes the weak tail without mapping
-// it. Workers are pinned so the schedule (and therefore the headline) does
-// not depend on the host's core count.
-func schedulerBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
-	strong, models, opt := sweepBench()
-	var cands []arch.Config
-	for _, div := range []float64{64, 96, 128, 192, 256} {
-		w := arch.GArch72()
-		w.FreqGHz /= div
-		w.Name = fmt.Sprintf("%s-slow%d", w.Name, int(div))
-		cands = append(cands, w)
-	}
-	cands = append(cands, strong...)
-	opt.Prune = true
-	opt.Restarts = 4
-	opt.Workers = 4
-	return cands, models, opt
-}
-
-// benchScheduler runs the scheduler sweep in the given order and reports
-// the scheduler's work-saved accounting as custom metrics.
-func benchScheduler(b *testing.B, order dse.SweepOrder) *dse.CandidateResult {
-	cands, models, opt := schedulerBench()
-	opt.Order = order
-	var best *dse.CandidateResult
-	var stats dse.SweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
-	b.ReportMetric(float64(stats.AbandonedRestarts), "abandoned_restarts")
-	return best
-}
-
-// BenchmarkDSESweepGridFixed is the pre-scheduler baseline: grid dispatch
-// order, full fixed 4-restart portfolios.
-func BenchmarkDSESweepGridFixed(b *testing.B) { benchScheduler(b, dse.OrderGrid) }
-
-// BenchmarkDSESweepOrdered dispatches in ascending lower-bound order with
-// the same fixed portfolios: pruning soundness guarantees the same best
-// result, the weak tail just never gets mapped.
-func BenchmarkDSESweepOrdered(b *testing.B) {
-	got := benchScheduler(b, dse.OrderBound)
-	b.StopTimer()
-	cands, models, opt := schedulerBench()
-	opt.Order = dse.OrderGrid
-	want := dse.Best(dse.Run(cands, models, opt))
-	if want == nil || got.Obj != want.Obj || got.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("ordered sweep best %s (%g) differs from grid %s (%g)",
-			got.Cfg.Name, got.Obj, want.Cfg.Name, want.Obj)
-	}
-}
-
 // --- Micro-benchmarks of the framework's hot paths. ---
 
 // BenchmarkSAOptimize measures the full Mapping Engine hot loop — one SA
@@ -606,116 +537,9 @@ func BenchmarkAblation_GraphPartitionDP(b *testing.B) {
 	b.ReportMetric(ratio, "naive_over_dp_cost_x")
 }
 
-// --- Pruning engine v2 benchmarks (BENCH_5): compulsory-traffic bounds,
-// in-loop abandonment, disk-backed cache warmth. ---
-
-// weakDRAMBench returns the weak-first pruning workload for the bound
-// benchmarks: the three full-speed sweepBench variants plus five
-// DRAM-starved candidates (64-128x less DRAM bandwidth at nearly the same
-// monetary cost). Their compute and weight-DRAM floors stay harmless — the
-// PR 3 bound maps all five in full — but their compulsory activation
-// traffic already exceeds any full-speed candidate's objective, so the
-// compulsory-traffic bound prunes them without mapping. Weak candidates
-// come FIRST in grid order; workers are pinned so the schedule does not
-// depend on the host's core count.
-func weakDRAMBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
-	strong, models, opt := sweepBench()
-	var cands []arch.Config
-	for _, div := range []float64{64, 80, 96, 112, 128} {
-		w := arch.GArch72()
-		w.DRAMBW /= div
-		w.Name = fmt.Sprintf("%s-dram%d", w.Name, int(div))
-		cands = append(cands, w)
-	}
-	cands = append(cands, strong...)
-	opt.Prune = true
-	opt.Order = dse.OrderBound
-	opt.Restarts = 4
-	opt.Workers = 4
-	return cands, models, opt
-}
-
-// benchBoundLevel runs the weak-first sweep at one bound level and reports
-// the scheduler's pruning and iteration accounting.
-func benchBoundLevel(b *testing.B, level dse.BoundLevel) *dse.CandidateResult {
-	cands, models, opt := weakDRAMBench()
-	opt.Bound = level
-	var best *dse.CandidateResult
-	var stats dse.SweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
-	b.ReportMetric(float64(stats.SAIterations), "sa_iterations")
-	return best
-}
-
-// BenchmarkDSESweepPR3Bound is the baseline: the compute + weight-DRAM
-// bound cannot see the starved candidates' compulsory activation traffic,
-// so the whole weak tail is mapped in full.
-func BenchmarkDSESweepPR3Bound(b *testing.B) { benchBoundLevel(b, dse.BoundComputeDRAM) }
-
-// BenchmarkDSESweepTightBound runs the identical sweep under the
-// compulsory-traffic bound: the weak tail is pruned without mapping, and —
-// soundness, asserted here — the best candidate and objective are
-// bit-identical to the PR 3 bound's.
-func BenchmarkDSESweepTightBound(b *testing.B) {
-	got := benchBoundLevel(b, dse.BoundCompulsory)
-	b.StopTimer()
-	cands, models, opt := weakDRAMBench()
-	opt.Bound = dse.BoundComputeDRAM
-	want := dse.Best(dse.Run(cands, models, opt))
-	if want == nil || got.Obj != want.Obj || got.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("tight-bound sweep best %s (%g) differs from PR 3 bound %s (%g): the new bound is unsound",
-			got.Cfg.Name, got.Obj, want.Cfg.Name, want.Obj)
-	}
-}
-
-// BenchmarkDSESweepHardened re-runs the tight-bound weak-first sweep with
-// the fault-tolerance machinery fully armed — a retry policy, a per-cell
-// deadline (which moves every attempt onto the watchdog goroutine path),
-// and no faults firing — so it measures exactly what hardening costs a
-// healthy sweep vs BenchmarkDSESweepTightBound, its fault-free twin in the
-// same run. The bench-compare -hardened-factor gate holds the pair within a
-// few percent: arming the machinery must cost ~nothing when nothing fails.
-func BenchmarkDSESweepHardened(b *testing.B) {
-	cands, models, opt := weakDRAMBench()
-	opt.Bound = dse.BoundCompulsory
-	opt.Retry = dse.RetryPolicy{Max: 2, BaseDelay: time.Millisecond}
-	opt.CellTimeout = time.Minute
-	var best *dse.CandidateResult
-	var stats dse.SweepStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ses := dse.NewSession()
-		best = dse.Best(ses.Run(cands, models, opt))
-		if best == nil {
-			b.Fatal("no feasible candidate")
-		}
-		stats = ses.LastSweepStats()
-	}
-	b.StopTimer()
-	if stats.Retries != 0 || stats.Panics != 0 || stats.DeadlineExceeded != 0 {
-		b.Fatalf("fault-free hardened sweep recorded faults: %+v", stats)
-	}
-	// Soundness: the hardened sweep finds the same best as the bare one.
-	cands, models, opt = weakDRAMBench()
-	opt.Bound = dse.BoundCompulsory
-	want := dse.Best(dse.Run(cands, models, opt))
-	if want == nil || best.Obj != want.Obj || best.Cfg.Name != want.Cfg.Name {
-		b.Fatalf("hardened sweep best %s (%g) differs from bare %s (%g)",
-			best.Cfg.Name, best.Obj, want.Cfg.Name, want.Obj)
-	}
-	b.ReportMetric(float64(stats.PrunedCandidates), "pruned_candidates")
-	b.ReportMetric(float64(stats.SAIterations), "sa_iterations")
-}
+// --- Pruning engine v2 benchmarks (BENCH_5): in-loop abandonment and
+// disk-backed cache warmth. The compulsory-traffic bound twins live in
+// internal/dse, behind the package's baseline seams. ---
 
 // BenchmarkDSESweepInLoopAbandon measures the in-loop abandonment mechanism
 // on a dominated cell at a deterministic domination point: a 4-restart
@@ -874,8 +698,7 @@ func racingBench() ([]arch.Config, []*dnn.Graph, dse.Options) {
 // at least 1.5x fewer total SA iterations than its uniform twin while
 // finding the bit-identical best candidate (finalists run the full
 // portfolio width, so racing may only cheapen the losers). Both iteration
-// counts are reported; the bench-compare -racing-factor gate holds the
-// ratio.
+// counts are reported; a BENCH_8 twin gate holds the ratio.
 func BenchmarkDSESweepRacing(b *testing.B) {
 	cands, models, opt := racingBench()
 	opt.Racing = true
@@ -940,7 +763,6 @@ func cutBoundBench(b *testing.B) ([]arch.Config, []*dnn.Graph, dse.Options) {
 	opt.Restarts = 2
 	opt.Workers = 4
 	opt.Prune = true
-	opt.Order = dse.OrderBound
 	return cands, []*dnn.Graph{g}, opt
 }
 
@@ -967,7 +789,7 @@ func benchCutBoundLevel(b *testing.B, level dse.BoundLevel) (*dse.CandidateResul
 // bisection bound and asserts the tentpole claim in-bench: the cut bound
 // prunes strictly more multi-chiplet candidates than BoundCompulsory on the
 // identical sweep, and both find the bit-identical best. Both pruned counts
-// are reported; the bench-compare -cutbound-factor gate holds the gap.
+// are reported; a BENCH_8 twin gate holds the gap.
 func BenchmarkDSESweepCutBound(b *testing.B) {
 	best, stats := benchCutBoundLevel(b, dse.BoundCut)
 	cands, models, opt := cutBoundBench(b)
@@ -1096,8 +918,8 @@ func runFleetBench(b *testing.B, spec dse.Spec, shards, workers int, share bool)
 // skipped work alone and adds near-linear scaling on top when the workers
 // have real cores to spread over. Soundness is asserted in-bench: all runs
 // end at the bit-identical best, and the fleet's total SA iteration count
-// is strictly below the independent twin's. The bench-compare -fleet-factor
-// gate holds the wall-clock ratio and the strict iteration inequality.
+// is strictly below the independent twin's. Two BENCH_10 twin gates hold
+// the wall-clock ratio and the strict iteration inequality.
 func BenchmarkFleetSweep(b *testing.B) {
 	spec, cands := fleetBenchSpec(b)
 	shards := len(cands)

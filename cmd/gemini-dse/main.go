@@ -39,13 +39,12 @@ func main() {
 	saIters := flag.Int("sa", 600, "SA iterations per candidate/model mapping")
 	restarts := flag.Int("restarts", 1, "SA portfolio width per (candidate, model) cell")
 	racing := flag.Bool("racing", false, "allocate restarts by successive halving: every candidate gets one exploratory restart, then the budget doubles for the best half each rung until only finalists run the full portfolio (the winner is identical to the uniform sweep's)")
-	order := flag.String("order", "bound", "candidate dispatch order: bound (ascending objective lower bound, tightens the pruning incumbent early) or grid (enumeration order)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	alpha := flag.Float64("alpha", 1, "MC exponent of the objective")
 	beta := flag.Float64("beta", 1, "energy exponent of the objective")
 	gamma := flag.Float64("gamma", 1, "delay exponent of the objective")
 	prune := flag.Bool("prune", false, "skip candidates whose objective lower bound exceeds the best seen (decisions are logged)")
-	bound := flag.String("bound", "compulsory", "lower-bound formulation for pruning/ordering: compulsory (compute + DRAM + compulsory activation/interconnect traffic), cut (compulsory plus a per-cut bisection-bandwidth delay floor over the NoC/D2D link graph) or compute-dram (the legacy compute+weight bound)")
+	bound := flag.String("bound", "compulsory", "lower-bound formulation for pruning and dispatch order (candidates run in ascending bound): compulsory (compute + DRAM + compulsory activation/interconnect traffic) or cut (compulsory plus a per-cut bisection-bandwidth delay floor over the NoC/D2D link graph)")
 	cacheDir := flag.String("cache-dir", "", "evaluation-cache spill directory: warm group evaluations from a previous process and re-save as the sweep runs")
 	retry := flag.Int("retry", 0, "retry a (candidate, model) cell up to N times after a transient failure (panic, timeout, transient I/O); 0 disables retry")
 	retryBase := flag.Duration("retry-base-delay", 0, "first retry backoff (0 = engine default of 10ms); doubles per retry with jitter")
@@ -92,23 +91,10 @@ func main() {
 	opt.CacheDir = *cacheDir
 	opt.Retry = dse.RetryPolicy{Max: *retry, BaseDelay: *retryBase, MaxDelay: *retryMax}
 	opt.CellTimeout = *cellTimeout
-	switch *bound {
-	case "compulsory":
-		opt.Bound = dse.BoundCompulsory
-	case "cut":
-		opt.Bound = dse.BoundCut
-	case "compute-dram":
-		opt.Bound = dse.BoundComputeDRAM
+	switch opt.Bound = dse.BoundLevel(*bound); opt.Bound {
+	case dse.BoundCompulsory, dse.BoundCut:
 	default:
-		log.Fatalf("unsupported -bound %q (want compulsory, cut or compute-dram)", *bound)
-	}
-	switch *order {
-	case "bound":
-		opt.Order = dse.OrderBound
-	case "grid":
-		opt.Order = dse.OrderGrid
-	default:
-		log.Fatalf("unsupported -order %q (want bound or grid)", *order)
+		log.Fatalf("unsupported -bound %q (want compulsory or cut)", *bound)
 	}
 
 	ses := dse.NewSession()
@@ -137,8 +123,8 @@ func main() {
 
 	cands := sp.Enumerate()
 	total := len(cands)
-	fmt.Printf("space %s: %d candidates, %d workload(s), batch %d, restarts %d, order %s\n",
-		sp.Name, total, len(graphs), *batch, *restarts, opt.Order)
+	fmt.Printf("space %s: %d candidates, %d workload(s), batch %d, restarts %d, bound %s\n",
+		sp.Name, total, len(graphs), *batch, *restarts, opt.Bound)
 	done := 0
 	if *stream {
 		opt.OnResult = func(r dse.CandidateResult) {
@@ -166,8 +152,8 @@ func main() {
 			dse.CachePath(*cacheDir), st.DiskLoaded, st.DiskHits, st.DiskSaves)
 	}
 	ss := ses.LastSweepStats()
-	fmt.Printf("scheduler: order=%s (bound=%s), %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
-		ss.Order, *bound, ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
+	fmt.Printf("scheduler: bound=%s, %d/%d candidates pruned, %d cells resumed, %d restarts abandoned by the incumbent, %d SA iterations\n",
+		opt.Bound, ss.PrunedCandidates, ss.Candidates, ss.ResumedCells, ss.AbandonedRestarts, ss.SAIterations)
 	if ss.Retries+ss.Panics+ss.DeadlineExceeded+ss.PersistenceErrors > 0 {
 		fmt.Printf("faults: %d retries, %d recovered panics, %d deadline expiries, %d persistence errors (degraded=%t)\n",
 			ss.Retries, ss.Panics, ss.DeadlineExceeded, ss.PersistenceErrors, ss.PersistenceDegraded)

@@ -32,11 +32,6 @@ const (
 	// and the aggregate interconnect capacity. It is the tightest sound
 	// bound the engine knows and the default.
 	BoundCompulsory BoundLevel = "compulsory"
-	// BoundComputeDRAM is the earlier compute + weight-DRAM-only bound. It
-	// ignores all activation and interconnect traffic; it is kept so the
-	// benchmark suite can quantify the compulsory-traffic gain and so sweeps
-	// can be replayed against the historical schedule.
-	BoundComputeDRAM BoundLevel = "compute-dram"
 	// BoundCut adds the per-cut bisection delay floor on top of the full
 	// compulsory-traffic bound: for every chiplet-level bisection of the mesh
 	// it charges the narrowest sustained path each explicit DRAM flow can
@@ -261,7 +256,8 @@ func minPasses(opt Options) int {
 // lowerBoundED returns provable lower bounds on the total energy (J) and
 // delay (s) of any feasible mapping of g on cfg under opt.
 //
-// The BoundComputeDRAM terms rest on two invariants of the evaluation model:
+// The compute and weight-DRAM floors (all the computeDRAMBound test seam
+// keeps) rest on two invariants of the evaluation model:
 //
 //   - every MAC executes on a PE array whose aggregate throughput is
 //     Cores * MACsPerCore per cycle, and costs at least MACpJ;
@@ -314,7 +310,7 @@ func lowerBoundED(cfg *arch.Config, g *dnn.Graph, p *eval.Params, opt Options) (
 	}
 
 	dramBytes := d.weightBytes
-	full := opt.Bound != BoundComputeDRAM
+	full := !opt.computeDRAMBound
 	if full {
 		dramBytes += (d.extReadBytes + d.outWriteBytes) * batch
 		if pm := minPasses(opt); pm > 1 {

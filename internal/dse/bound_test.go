@@ -84,7 +84,7 @@ func TestBoundSoundnessRandomized(t *testing.T) {
 		// The v2 bound must dominate (be at least as tight as) the v1 bound:
 		// it only adds non-negative compulsory terms.
 		v1 := opt
-		v1.Bound = BoundComputeDRAM
+		v1.computeDRAMBound = true
 		e1, d1 := lowerBoundED(&cfg, g, &p, v1)
 		if eLB < e1 || dLB < d1 {
 			t.Errorf("%s/%s: compulsory bound (%v, %v) below compute-dram bound (%v, %v)",
@@ -131,7 +131,7 @@ func TestBoundGLBStreamingExcess(t *testing.T) {
 	eLB, dLB := lowerBoundED(&cfg, g, &p, opt)
 
 	v1 := opt
-	v1.Bound = BoundComputeDRAM
+	v1.computeDRAMBound = true
 	e1, d1 := lowerBoundED(&cfg, g, &p, v1)
 	// weights alone: 128 MB; excess (128-72) MB streams on >= 3 more passes,
 	// so the v2 DRAM floor must clearly exceed the load-once floor.
@@ -233,7 +233,7 @@ func TestBoundTightensOrdering(t *testing.T) {
 	p := eval.DefaultParams()
 	opt := testOptions()
 	v1 := opt
-	v1.Bound = BoundComputeDRAM
+	v1.computeDRAMBound = true
 	e2, d2 := lowerBoundED(&cfg, testCNN, &p, opt)
 	e1, d1 := lowerBoundED(&cfg, testCNN, &p, v1)
 	if e2 <= e1 {

@@ -119,3 +119,60 @@ func TestPatienceKeyedCheckpointLoads(t *testing.T) {
 		t.Errorf("recomputed cell %s missing from %d saved cells", fresh, len(cp.Cells))
 	}
 }
+
+// gridOrderCheckpoint was saved by a build that still had a dispatch-order
+// option and the compute+weight-DRAM bound level: GArch72 x {tinycnn,
+// tinytransformer} under testOptions() with Restarts=2, Prune, grid order
+// and the compute-dram bound. Neither option entered the cell fingerprint.
+const gridOrderCheckpoint = `{
+  "version": 1,
+  "cells": {
+    "231bd960a1011a05/tinycnn/09404620390fc4ba": {
+      "model": "tinycnn", "feasible": true,
+      "energy": 0.000024955876080000002, "delay": 0.000006268511111111112,
+      "groups": 3, "avg_layers_per_group": 2.3333333333333335, "dram_bytes": 262296,
+      "e_mac": 0.0000042044703999999995, "e_glb": 0.0000010964880000000005,
+      "e_noc": 0.0000018427368000000024, "e_d2d": 0.0000020744208800000003,
+      "e_dram": 0.000015737759999999998,
+      "sa_cost": 1.56436186494992e-10, "sa_init_cost": 1.60820706981136e-10, "restarts": 2
+    },
+    "231bd960a1011a05/tinytransformer/09404620390fc4ba": {
+      "model": "tinytransformer", "feasible": true,
+      "energy": 0.000015123831520000002, "delay": 0.0000026533374999999997,
+      "groups": 4, "avg_layers_per_group": 6, "dram_bytes": 131072,
+      "e_mac": 0.0000012869632, "e_glb": 0.0000025640960000000005,
+      "e_noc": 0.0000018222556800000011, "e_d2d": 0.0000015861966400000007,
+      "e_dram": 0.00000786432,
+      "sa_cost": 4.0128629315698e-11, "sa_init_cost": 4.08559661568e-11, "restarts": 2
+    }
+  }
+}`
+
+// TestGridOrderCheckpointResumes: cells checkpointed under grid order and
+// the compute-dram bound resume verbatim under the current options, with
+// no cell recomputed.
+func TestGridOrderCheckpointResumes(t *testing.T) {
+	ses := NewSession()
+	if err := ses.LoadCheckpoint(strings.NewReader(gridOrderCheckpoint)); err != nil {
+		t.Fatal(err)
+	}
+	orig := mapModelFn
+	mapModelFn = func(*eval.Evaluator, *arch.Config, *dnn.Graph, Options, func() bool, int, int) (*MapResult, error) {
+		t.Error("a checkpointed cell was recomputed")
+		return nil, nil
+	}
+	defer func() { mapModelFn = orig }()
+
+	opt := testOptions()
+	opt.Restarts = 2
+	opt.Prune = true
+	res := ses.Run([]arch.Config{arch.GArch72()}, []*dnn.Graph{testCNN, testTF}, opt)
+	if st := ses.LastSweepStats(); st.ResumedCells != 2 || st.SAIterations != 0 {
+		t.Errorf("resumed %d cells with %d SA iterations, want 2 and 0", st.ResumedCells, st.SAIterations)
+	}
+	// The geomean of the two restored cells, as the checkpointing build
+	// reported it.
+	if r := res[0]; r.Err != nil || r.Energy != 1.9427518247782398e-05 || r.Delay != 4.078293221468725e-06 {
+		t.Errorf("restored candidate %+v, want the checkpointing build's E/D", r)
+	}
+}

@@ -95,7 +95,8 @@ func TestCacheDirExcludedFromCellFingerprint(t *testing.T) {
 	a := testOptions()
 	b := testOptions()
 	b.CacheDir = filepath.Join(t.TempDir(), "x")
-	b.Bound = BoundComputeDRAM
+	b.computeDRAMBound = true
+	b.gridOrder = true
 	b.betweenRestartsOnly = true
 	if optsFingerprint(a) != optsFingerprint(b) {
 		t.Error("scheduling-only options leak into the cell fingerprint")

@@ -25,7 +25,7 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		`"sweep"`,
 		`{"space":{"tops":72,"reduced":true},"models":["tinycnn"]}`,
 		`{"id":"full","space":{"tops":128},"models":["resnet50","transformer"],` +
-			`"tenant":"acme","priority":"batch","order":"bound","bound":"cut",` +
+			`"tenant":"acme","priority":"batch","bound":"cut",` +
 			`"racing":true,"workers":2,"seed":7,"restarts":4,` +
 			`"sa_iterations":100,"batch":16,"batch_units":[1,2],` +
 			`"objective":{"alpha":1,"beta":2,"gamma":0.5},"prune":true,` +
@@ -41,7 +41,7 @@ func FuzzSpecUnmarshal(f *testing.F) {
 		`{"space":{"tops":72,"glb_kb":[0]},"models":["tinycnn"]}`,
 		`{"space":{"tops":72,"cuts":[1,2],"macs":[1024],"glb_kb":[512],` +
 			`"noc_gbps":[32],"d2d_ratios":[0.5],"dram_per_tops":[1]},` +
-			`"models":["tinycnn"],"order":"grid","bound":"compulsory"}`,
+			`"models":["tinycnn"],"bound":"compulsory"}`,
 		`{"space":{"tops":72},`,
 	}
 	// One seed past the grid cap: 64 cuts (squared by XCut x YCut) times 512

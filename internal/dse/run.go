@@ -60,13 +60,6 @@ type Options struct {
 	// every cell and between SA restarts, and it is seeded from checkpointed
 	// cells on resumed sessions, so the gate tightens as early as possible.
 	Prune bool
-	// Order selects the candidate dispatch order: OrderBound schedules
-	// candidates in ascending objective-lower-bound order so the pruning
-	// incumbent tightens before expensive candidates run; OrderGrid (and
-	// the zero value) keeps enumeration order. Order never changes which
-	// results are computed when pruning is off, only their schedule, so it
-	// is excluded from the checkpoint fingerprint.
-	Order SweepOrder
 	// Racing switches restart allocation from uniform (every cell runs the
 	// full Restarts-wide portfolio) to successive halving across candidates:
 	// the scheduler dispatches one cheap exploratory restart per surviving
@@ -87,12 +80,13 @@ type Options struct {
 	// completes (no calls unless Racing is on). Calls are serialized in rung
 	// order. Purely observational — excluded from the checkpoint fingerprint.
 	OnRung func(RungStats) `json:"-"`
-	// Bound selects the lower-bound formulation behind Prune and OrderBound:
-	// BoundCompulsory (the zero value) is the full compulsory-traffic bound;
-	// BoundComputeDRAM is the historical compute+weight-DRAM bound, kept for
-	// benchmarking the compulsory-traffic gain. Like Order it only schedules
-	// and prunes — it never changes a mapping — so it is excluded from the
-	// checkpoint fingerprint.
+	// Bound selects the lower-bound formulation behind Prune and the
+	// bound-ordered dispatch (candidates run in ascending objective lower
+	// bound, so the pruning incumbent tightens before expensive candidates
+	// are attempted): BoundCompulsory (the zero value) is the full
+	// compulsory-traffic bound, BoundCut adds the per-cut bisection delay
+	// floor. A bound only schedules and prunes — it never changes a mapping
+	// — so it is excluded from the checkpoint fingerprint.
 	Bound BoundLevel `json:"bound,omitempty"`
 	// BoundParams loosens the technology constants the pruning lower
 	// bounds are computed from (default: eval.DefaultParams()). Because the
@@ -125,12 +119,11 @@ type Options struct {
 	// pull from instead. The sweep service uses this to bind sweeps to queue
 	// slots and to gate a preempted sweep's feed shut. A feed only schedules
 	// — cells it never delivers are reported as canceled, not computed — so
-	// like Order it is excluded from the checkpoint fingerprint.
+	// it is excluded from the checkpoint fingerprint.
 	Dispatch func(Dispatcher) Dispatcher `json:"-"`
 	// SweepID optionally names the sweep for logs and SweepStats; the sweep
-	// service keys server-side checkpoints by it. Like Order it only
-	// labels/schedules — it never changes a mapping — so it is excluded
-	// from the checkpoint fingerprint.
+	// service keys server-side checkpoints by it. It only labels — it never
+	// changes a mapping — so it is excluded from the checkpoint fingerprint.
 	SweepID string `json:"sweep_id,omitempty"`
 	// Retry bounds transient-failure retries per (candidate, model) cell:
 	// panics, per-cell deadline expiries and transient I/O errors re-run the
@@ -168,6 +161,15 @@ type Options struct {
 	// between-restart stop gate: the baseline the package's tests measure
 	// the in-loop check against.
 	betweenRestartsOnly bool
+	// gridOrder dispatches candidates in enumeration order instead of
+	// ascending lower bound: the baseline the package's scheduler tests and
+	// benchmarks measure bound-ordered dispatch against.
+	gridOrder bool
+	// computeDRAMBound drops every traffic term from the lower bound,
+	// leaving the compute and weight-DRAM floors: the baseline the
+	// package's bound tests and benchmarks measure the compulsory-traffic
+	// bound against. It overrides Bound.
+	computeDRAMBound bool
 }
 
 // IncumbentExchange is the external incumbent source/sink a fleet worker
@@ -197,7 +199,6 @@ func DefaultOptions() Options {
 		Restarts:     1,
 		Seed:         1,
 		BatchUnits:   []int{1, 2, 4, 8},
-		Order:        OrderBound,
 	}
 }
 

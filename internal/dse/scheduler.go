@@ -26,20 +26,6 @@ import (
 	"gemini/internal/eval"
 )
 
-// SweepOrder selects the candidate dispatch order of a sweep.
-type SweepOrder string
-
-const (
-	// OrderGrid dispatches candidates in enumeration (grid) order. The
-	// zero value "" behaves like OrderGrid.
-	OrderGrid SweepOrder = "grid"
-	// OrderBound dispatches candidates in ascending objective-lower-bound
-	// order, so cheap candidates tighten the pruning incumbent before
-	// expensive ones are attempted. With pruning off this only changes
-	// scheduling, never results.
-	OrderBound SweepOrder = "bound"
-)
-
 // RungStats records one completed rung of a racing (successive-halving)
 // sweep: how many candidates entered, the cumulative per-cell restart width
 // the rung settled, and how many candidates were promoted to the next rung
@@ -70,8 +56,6 @@ type IncumbentStep struct {
 type SweepStats struct {
 	// SweepID echoes Options.SweepID (empty for unnamed sweeps).
 	SweepID string
-	// Order is the dispatch order the sweep actually used.
-	Order SweepOrder
 	// Candidates is the number of architecture candidates in the sweep.
 	Candidates int
 	// Cells is the total (candidate, model) grid size.
@@ -266,7 +250,7 @@ func (s *Session) newScheduler(ctx context.Context, cands []arch.Config, models 
 	if opt.Prune && !sc.prune {
 		s.logf("dse: pruning disabled: objective %+v is not monotone", opt.Objective)
 	}
-	ordered := opt.Order == OrderBound
+	ordered := !opt.gridOrder
 	for ci := range cands {
 		sc.states[ci] = &candState{}
 		sc.states[ci].remaining.Store(int32(len(models)))
@@ -789,13 +773,8 @@ func (sc *scheduler) runTask(k, nm int, per [][]pairOutcome, target int, countRe
 // publishStats folds the counters into the session's last-sweep stats and
 // logs the one-line summary.
 func (sc *scheduler) publishStats() {
-	order := sc.opt.Order
-	if order == "" {
-		order = OrderGrid
-	}
 	stats := SweepStats{
 		SweepID:           sc.opt.SweepID,
-		Order:             order,
 		Candidates:        len(sc.cands),
 		Cells:             len(sc.cands) * len(sc.models),
 		Canceled:          sc.ctx.Err() != nil,
@@ -820,8 +799,8 @@ func (sc *scheduler) publishStats() {
 	if stats.Canceled {
 		state = "canceled"
 	}
-	sc.ses.logf("dse: sweep %s %s (order %s): %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, incumbent %.6g",
-		sweepName(sc.opt.SweepID), state, order, stats.Candidates, stats.PrunedCandidates, stats.Cells, stats.ResumedCells,
+	sc.ses.logf("dse: sweep %s %s: %d candidates (%d pruned), %d cells (%d resumed), %d restarts abandoned, incumbent %.6g",
+		sweepName(sc.opt.SweepID), state, stats.Candidates, stats.PrunedCandidates, stats.Cells, stats.ResumedCells,
 		stats.AbandonedRestarts, sc.inc.get())
 	if stats.Racing {
 		for _, r := range stats.Rungs {

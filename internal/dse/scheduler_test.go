@@ -27,22 +27,14 @@ func TestOrderedMatchesGridWithoutPruning(t *testing.T) {
 	cands = append(cands, big)
 	models := []*dnn.Graph{testCNN, testTF}
 
-	grid := testOptions()
-	grid.Order = OrderGrid
-	grid.Prune = false
-	bound := grid
-	bound.Order = OrderBound
+	bound := testOptions()
+	bound.Prune = false
+	grid := bound
+	grid.gridOrder = true
 
 	want := NewSession().Run(cands, models, grid)
 	got := NewSession().Run(cands, models, bound)
 	resultsEqual(t, want, got, "bound-ordered vs grid")
-
-	// The scheduler must report the order it used.
-	ses := NewSession()
-	ses.Run(cands, models, bound)
-	if st := ses.LastSweepStats(); st.Order != OrderBound {
-		t.Errorf("stats order = %q, want %q", st.Order, OrderBound)
-	}
 }
 
 // TestBoundOrderDispatchesCheapFirst: the dispatch permutation must sort
@@ -54,7 +46,6 @@ func TestBoundOrderDispatchesCheapFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := testOptions()
-	opt.Order = OrderBound
 	opt.Objective = Objective{Alpha: 8, Beta: 1, Gamma: 1}
 
 	// big first in grid order; the scheduler must flip them (its 4x MC at
@@ -82,7 +73,7 @@ func TestCheckpointSeededIncumbentPrunes(t *testing.T) {
 	opt := testOptions()
 	opt.Workers = 1
 	opt.Prune = true
-	opt.Order = OrderGrid
+	opt.gridOrder = true
 	opt.Objective = Objective{Alpha: 8, Beta: 1, Gamma: 1}
 	models := []*dnn.Graph{testCNN}
 
@@ -306,7 +297,7 @@ func TestResumedSweepRestoresDominatedCandidate(t *testing.T) {
 	}
 	opt := testOptions()
 	opt.Workers = 1
-	opt.Order = OrderGrid
+	opt.gridOrder = true
 	opt.Objective = Objective{Alpha: 8, Beta: 1, Gamma: 1}
 	models := []*dnn.Graph{testCNN}
 	cands := []arch.Config{big, base}
@@ -362,7 +353,7 @@ func TestPartialCheckpointBoundPrunes(t *testing.T) {
 	opt := testOptions()
 	opt.Workers = 1
 	opt.Prune = true
-	opt.Order = OrderGrid // dispatch weak first: only the refined bound can save it
+	opt.gridOrder = true // dispatch weak first: only the refined bound can save it
 
 	// Session A settles exactly half of weak's cells (model 1 of 2) plus all
 	// of strong's, then checkpoints. Cell keys ignore the model list, so the
@@ -482,9 +473,8 @@ func TestInLoopAbandonSavesIterations(t *testing.T) {
 	models := []*dnn.Graph{testCNN}
 	opt := testOptions()
 	opt.Prune = true
-	opt.Order = OrderBound // strong dispatches first
-	opt.Restarts = 1       // no between-restart gaps: only the in-loop check can save work
-	opt.Workers = 3        // strong + both weak cells run concurrently
+	opt.Restarts = 1 // no between-restart gaps: only the in-loop check can save work
+	opt.Workers = 3  // strong + both weak cells run concurrently (bound order: strong first)
 	opt.SAIterations = 400
 
 	orig := mapModelFn

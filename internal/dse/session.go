@@ -751,7 +751,6 @@ func fnvWord(h, v uint64) uint64 {
 var optsFingerprintExclusions = map[string]string{
 	"Workers":       "parallelism only; any worker count computes identical cells",
 	"Prune":         "pruning skips whole cells, it never changes a computed cell",
-	"Order":         "dispatch order only; checkpoints must survive reordering",
 	"Bound":         "bound formulation feeds pruning/abandonment thresholds, not the mapping itself",
 	"BoundParams":   "evaluator params for bound computation; never touch a cell's SA search",
 	"CacheDir":      "storage location, not content; moving the cache must not invalidate it",
@@ -766,13 +765,15 @@ var optsFingerprintExclusions = map[string]string{
 	"Incumbent":     "external pruning signal; like Prune it only skips whole cells, it never changes a computed cell",
 
 	"betweenRestartsOnly": "test seam disabling in-loop abandonment, which only gates early exits against the live incumbent; completed cells are unchanged",
+	"gridOrder":           "test seam for enumeration-order dispatch; dispatch order only, checkpoints must survive reordering",
+	"computeDRAMBound":    "test seam for the compute+weight-DRAM bound; it feeds pruning and dispatch order, not the mapping itself",
 }
 
 // optsFingerprint hashes every Options field the mapping result depends on.
 // Alpha is deliberately excluded: it only ranks candidates, it never changes
 // a (candidate, model) mapping, so checkpoints survive re-ranking sweeps.
-// Order and SweepID are likewise excluded (one only schedules, the other
-// only labels — a renamed sweep must keep hitting its old cells). The full field-by-field accounting lives in
+// SweepID is likewise excluded (it only labels — a renamed sweep must keep
+// hitting its old cells). The full field-by-field accounting lives in
 // optsFingerprintExclusions and is enforced by the fingerprintcomplete
 // analyzer.
 //

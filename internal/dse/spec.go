@@ -144,11 +144,8 @@ type Spec struct {
 	Objective *ObjectiveSpec `json:"objective,omitempty"`
 	// Prune enables bound-based candidate pruning.
 	Prune bool `json:"prune,omitempty"`
-	// Order is the dispatch order: "bound" (default) or "grid".
-	Order string `json:"order,omitempty"`
-	// Bound is the lower-bound formulation: "compulsory" (default),
-	// "cut" (compulsory plus the per-cut bisection delay floor) or
-	// "compute-dram" (the legacy compute+weight bound).
+	// Bound is the lower-bound formulation: "compulsory" (default) or
+	// "cut" (compulsory plus the per-cut bisection delay floor).
 	Bound string `json:"bound,omitempty"`
 	// Racing allocates restart budget by successive halving across
 	// candidates instead of running every cell at the full width.
@@ -216,7 +213,7 @@ var tenantPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 const maxSpecGrid = 1 << 20
 
 // Validate checks the spec without enumerating the space: space selection,
-// model names, order keyword and numeric ranges. It returns the first
+// model names, bound keyword and numeric ranges. It returns the first
 // problem found, phrased for an API client.
 func (s *Spec) Validate() error {
 	sp, err := s.Space.Space()
@@ -259,16 +256,10 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("dse: unknown model %q (have %v)", name, dnn.ModelNames())
 		}
 	}
-	switch SweepOrder(s.Order) {
-	case "", OrderBound, OrderGrid:
-	default:
-		return fmt.Errorf("dse: unsupported order %q (want %q or %q)", s.Order, OrderBound, OrderGrid)
-	}
 	switch BoundLevel(s.Bound) {
-	case "", BoundCompulsory, BoundComputeDRAM, BoundCut:
+	case "", BoundCompulsory, BoundCut:
 	default:
-		return fmt.Errorf("dse: unsupported bound %q (want %q, %q or %q)",
-			s.Bound, BoundCompulsory, BoundCut, BoundComputeDRAM)
+		return fmt.Errorf("dse: unsupported bound %q (want %q or %q)", s.Bound, BoundCompulsory, BoundCut)
 	}
 	for _, c := range [...]struct {
 		name string
@@ -357,9 +348,6 @@ func (s *Spec) Options() Options {
 		opt.Objective = Objective{Alpha: s.Objective.Alpha, Beta: s.Objective.Beta, Gamma: s.Objective.Gamma}
 	}
 	opt.Prune = s.Prune
-	if s.Order != "" {
-		opt.Order = SweepOrder(s.Order)
-	}
 	if s.Bound != "" {
 		opt.Bound = BoundLevel(s.Bound)
 	}

@@ -32,10 +32,8 @@ type Options struct {
 	Workers      int
 	Seed         int64
 
-	// Restarts widens the per-cell SA portfolio. Order overrides the sweep
-	// dispatch order ("" keeps the DSE default, ascending lower bound).
+	// Restarts widens the per-cell SA portfolio.
 	Restarts int
-	Order    dse.SweepOrder
 
 	// Session, when set, runs every figure's sweeps and mappings through
 	// one shared DSE session, so the figures reuse each other's warm
@@ -165,9 +163,6 @@ func (o Options) dseOptions(batch int) dse.Options {
 	d.Seed = o.Seed
 	if o.Restarts > 0 {
 		d.Restarts = o.Restarts
-	}
-	if o.Order != "" {
-		d.Order = o.Order
 	}
 	if o.Quick {
 		d.MaxGroupLayers = 7

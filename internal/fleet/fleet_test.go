@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,6 +278,111 @@ func TestWorkerDeathReshard(t *testing.T) {
 	}
 	if !bytes.Equal(fleetCkpt, soloCkpt) {
 		t.Fatalf("merged checkpoint after re-shard differs from single-process checkpoint")
+	}
+}
+
+// TestStaleNarrowUploadKeepsWideCell: a racing worker's lease lapses before
+// it uploads, so its cells settled only at their rung widths (narrower than
+// the full portfolio). A successor settles the shard at the full width and
+// completes it. When the stale, narrow upload finally arrives through
+// /checkpoint it answers 410, and the merged checkpoint keeps every wide
+// record byte for byte.
+func TestStaleNarrowUploadKeepsWideCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real sweeps")
+	}
+	raw := strings.Replace(testSpecJSON("narrow"), `"sa_iterations": 60`, `"sa_iterations": 60, "restarts": 4, "racing": true`, 1)
+	spec := parseSpec(t, raw)
+	clock := &fakeClock{t: time.Unix(3_000_000, 0)}
+	coord := NewCoordinator(CoordinatorConfig{LeaseTTL: 10 * time.Second, Logf: t.Logf, Now: clock.Now})
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	if code := postJSON(t, srv.URL+"/sweeps", SubmitRequest{Spec: spec, Shards: 1}, nil); code != http.StatusCreated {
+		t.Fatalf("submit answered %d", code)
+	}
+
+	// run settles the lease's shard, racing or at the uniform full width
+	// (racing is not part of the cell key, so both write the same cells).
+	run := func(lease Lease, racing bool) []byte {
+		cands, err := lease.Spec.Candidates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs, err := lease.Spec.Graphs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := lease.Spec.Options()
+		opt.Racing = racing
+		ses := dse.NewSession()
+		if _, _, err := ses.RunContext(context.Background(), cands, graphs, opt); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ses.SaveCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	widths := func(ckpt []byte) map[string]int {
+		var cp struct {
+			Cells map[string]struct {
+				Restarts int `json:"restarts"`
+			} `json:"cells"`
+		}
+		if err := json.Unmarshal(ckpt, &cp); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]int{}
+		for k, c := range cp.Cells {
+			out[k] = c.Restarts
+		}
+		return out
+	}
+
+	var stale Lease
+	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "stale"}, &stale); code != http.StatusOK {
+		t.Fatalf("lease answered %d", code)
+	}
+	narrow := run(stale, true)
+	clock.Advance(11 * time.Second) // the racing worker's lease lapses
+
+	var fresh Lease
+	if code := postJSON(t, srv.URL+"/lease", LeaseRequest{Worker: "wide"}, &fresh); code != http.StatusOK {
+		t.Fatalf("re-lease answered %d", code)
+	}
+	wide := run(fresh, false)
+	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
+		SweepID: fresh.SweepID, LeaseID: fresh.LeaseID, Worker: "wide", Complete: true, Checkpoint: wide,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("wide upload answered %d", code)
+	}
+
+	nw, ww := widths(narrow), widths(wide)
+	narrower := 0
+	for k, n := range nw {
+		if ww[k] != 4 {
+			t.Fatalf("wide cell %s has width %d, want 4", k, ww[k])
+		}
+		if n < 4 {
+			narrower++
+		}
+	}
+	if narrower == 0 || len(nw) != len(ww) {
+		t.Fatalf("racing run settled %d cells, %d of them narrow; want every cell of the %d and some narrow", len(nw), narrower, len(ww))
+	}
+
+	if code := postJSON(t, srv.URL+"/checkpoint", CheckpointUpload{
+		SweepID: stale.SweepID, LeaseID: stale.LeaseID, Worker: "stale", Checkpoint: narrow,
+	}, nil); code != http.StatusGone {
+		t.Fatalf("stale narrow upload answered %d, want 410", code)
+	}
+	merged, ok := coord.Checkpoint("narrow")
+	if !ok {
+		t.Fatal("no merged checkpoint")
+	}
+	if !bytes.Equal(merged, wide) {
+		t.Fatalf("stale narrow upload changed the merged checkpoint: widths %v, want %v", widths(merged), ww)
 	}
 }
 

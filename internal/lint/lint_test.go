@@ -127,9 +127,7 @@ func TestNoallocAnnotationsMatchBenchCoverage(t *testing.T) {
 	}
 	var doc struct {
 		Benchmarks map[string]struct {
-			Optimized struct {
-				AllocsPerOp float64 `json:"allocs_per_op"`
-			} `json:"optimized"`
+			AllocsPerOp float64 `json:"allocs_per_op"`
 		} `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
@@ -138,7 +136,7 @@ func TestNoallocAnnotationsMatchBenchCoverage(t *testing.T) {
 
 	expected := map[string]bool{}
 	for name, b := range doc.Benchmarks {
-		if b.Optimized.AllocsPerOp != 0 {
+		if b.AllocsPerOp != 0 {
 			continue
 		}
 		funcs, ok := benchCover[name]

@@ -14,8 +14,8 @@ import (
 // event, and restoring the restored status again must re-encode to the
 // same bytes, so a server restarted twice keeps its history unchanged. The
 // seeded corpus under testdata/fuzz/FuzzStatusRecord pins the interesting
-// shapes, including a record written while stats still carried
-// skipped_restarts.
+// shapes, including records written while stats still carried
+// skipped_restarts or the dispatch order.
 func FuzzStatusRecord(f *testing.F) {
 	for _, s := range []string{
 		`{}`,
@@ -72,4 +72,33 @@ func FuzzStatusRecord(f *testing.F) {
 			t.Fatalf("second restore changed the record:\n%s\n%s", first, second)
 		}
 	})
+}
+
+// TestLegacyOrderStatusRestores: a record written while stats still carried
+// the dispatch order (the legacy-order-grid corpus seed) still restores as
+// a done sweep, and the dropped field does not survive the restore.
+func TestLegacyOrderStatusRestores(t *testing.T) {
+	const rec = `{"id":"legacy-grid","state":"done","candidates":2,"cells":2,"done_candidates":2,` +
+		`"best":{"arch":"garch72","chiplets":4,"cores":72,"status":"ok","objective":6.7e-7},` +
+		`"stats":{"order":"grid","candidates":2,"cells":2,"resumed_cells":0,"pruned_candidates":0,"abandoned_restarts":0},` +
+		`"checkpoint":true,"started_at":"2026-10-17T10:00:00Z","finished_at":"2026-10-17T10:00:01Z"}`
+	path := filepath.Join(t.TempDir(), "legacy-grid.status.json")
+	if err := os.WriteFile(path, []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := readStatusFile(path)
+	if err != nil {
+		t.Fatalf("legacy record rejected: %v", err)
+	}
+	sw := restoredSweep(&Server{}, st)
+	if got := sw.stateNow(); got != StateDone {
+		t.Fatalf("restored state %s, want done", got)
+	}
+	raw, err := json.Marshal(sw.status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"order"`)) || !bytes.Contains(raw, []byte(`"candidates":2,"cells":2`)) {
+		t.Errorf("restored status %s: want the stats without order", raw)
+	}
 }

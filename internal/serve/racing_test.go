@@ -151,17 +151,25 @@ func TestRacingLiveProgress(t *testing.T) {
 	}
 }
 
-// TestRemovedKnobsRejected pins the 400 envelope for the removed restart
-// budget options: patience, racing_keep and abandon_every are unknown
-// fields now, rejected by name on both POST /sweep and the fleet submit
-// endpoint before any sweep registers.
+// TestRemovedKnobsRejected pins the 400 envelope for removed spec options:
+// the restart budget knobs (patience, racing_keep, abandon_every) and the
+// dispatch order are unknown fields now, and the compute+weight-DRAM bound
+// is an unknown bound value. Each is rejected by name on both POST /sweep
+// and the fleet submit endpoint before any sweep registers.
 func TestRemovedKnobsRejected(t *testing.T) {
 	s, hs := newTestServer(t, Config{})
-	for _, field := range []string{"patience", "racing_keep", "abandon_every"} {
-		spec := `{"space":{"tops":72},"models":["tinycnn"],"racing":true,"` + field + `":1}`
+	const base = `{"space":{"tops":72},"models":["tinycnn"],"racing":true,`
+	for _, c := range []struct{ spec, name string }{
+		{base + `"patience":1}`, "patience"},
+		{base + `"racing_keep":1}`, "racing_keep"},
+		{base + `"abandon_every":1}`, "abandon_every"},
+		{base + `"order":"grid"}`, "order"},
+		{base + `"order":"bound"}`, "order"},
+		{base + `"bound":"compute-dram"}`, "compute-dram"},
+	} {
 		for _, ep := range []struct{ path, body string }{
-			{"/sweep", spec},
-			{"/fleet/sweeps", `{"spec":` + spec + `,"shards":1}`},
+			{"/sweep", c.spec},
+			{"/fleet/sweeps", `{"spec":` + c.spec + `,"shards":1}`},
 		} {
 			resp, err := http.Post(hs.URL+ep.path, "application/json", strings.NewReader(ep.body))
 			if err != nil {
@@ -173,8 +181,8 @@ func TestRemovedKnobsRejected(t *testing.T) {
 			if derr != nil {
 				t.Fatal(derr)
 			}
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, field) {
-				t.Errorf("%s with %s: code=%d msg=%q, want 400 naming %s", ep.path, field, resp.StatusCode, eb.Error, field)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, c.name) {
+				t.Errorf("%s with %s: code=%d msg=%q, want 400 naming %s", ep.path, c.spec, resp.StatusCode, eb.Error, c.name)
 			}
 		}
 	}

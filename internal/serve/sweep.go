@@ -113,8 +113,6 @@ func summarize(r *dse.CandidateResult) *CandidateSummary {
 // StatsSummary is the JSON shape of dse.SweepStats (which itself is not
 // JSON-safe: an unseeded incumbent is +Inf).
 type StatsSummary struct {
-	// Order is the dispatch order the sweep used ("bound" or "grid").
-	Order string `json:"order"`
 	// Candidates and Cells size the sweep grid.
 	Candidates int `json:"candidates"`
 	// Cells is the total (candidate, model) cell count.
@@ -175,7 +173,6 @@ type TrajectoryStep struct {
 // summarizeStats converts dse.SweepStats to its wire shape.
 func summarizeStats(st dse.SweepStats) *StatsSummary {
 	out := &StatsSummary{
-		Order:             string(st.Order),
 		Candidates:        st.Candidates,
 		Cells:             st.Cells,
 		Canceled:          st.Canceled,
